@@ -17,12 +17,15 @@ Two execution modes, selected by ``SolveRequest.island_jobs``:
 * **serial** (``island_jobs=1``, default) — islands are stepped
   round-robin in the parent process.
 * **parallel** (``island_jobs>1``) — each round, running islands are
-  checkpointed, shipped to a process pool whose workers attach the graph
-  once through a shared-memory :class:`~repro.graph.GraphHandle`, stepped
-  there, and rebuilt in the parent from the returned checkpoints.
+  checkpointed, shipped to a :class:`~repro.graph.pool.GraphPool` (the
+  worker pool the portfolio runner uses, whose workers map the graph
+  once from shared memory), stepped there, and rebuilt in the parent
+  from the returned checkpoints; the round waits for every island.
   Checkpoints are bit-exact for graphs with integral edge weights (the
-  session determinism contract), so serial and parallel runs of the same
-  request produce identical partitions and event streams.
+  session determinism contract), so serial and parallel runs of such a
+  request produce identical partitions and event streams.  With float
+  weights the partitions still match, but a resumed island's objective
+  can differ from the serial one in the last digits.
 
 Because incumbent events are emitted by *scanning* island bests once per
 round (not by forwarding child events as they happen), the parent event
@@ -32,7 +35,6 @@ and worker scheduling.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from typing import TYPE_CHECKING, Any
 
@@ -44,8 +46,7 @@ from repro.api.request import (
     Budget,
     SolveRequest,
 )
-from repro.graph.graph import Graph
-from repro.graph.store import GraphHandle, GraphStore
+from repro.graph.pool import GraphPool, PoolWorker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.session import SolveSession
@@ -57,27 +58,15 @@ __all__ = ["IslandGroup"]
 _EPS = 1e-12
 
 
-# ---------------------------------------------------------------------------
-# Island pool plumbing (parallel mode).  Workers attach the graph once via
-# the initializer; each task ships a solver (small dataclass), a child
-# checkpoint and a step count, and returns the advanced checkpoint.
-# ---------------------------------------------------------------------------
-_ISLAND_GRAPH: Graph | None = None
-
-
-def _island_worker_init(graph_ref: GraphHandle | Graph) -> None:
-    global _ISLAND_GRAPH
-    if isinstance(graph_ref, GraphHandle):
-        _ISLAND_GRAPH = Graph.from_handle(graph_ref)
-    else:
-        _ISLAND_GRAPH = graph_ref
-
-
 def _island_step(
-    solver: Any, request_args: dict, checkpoint: dict, steps: int
+    worker: PoolWorker,
+    solver: Any,
+    request_args: dict,
+    checkpoint: dict,
+    steps: int,
 ) -> dict:
-    assert _ISLAND_GRAPH is not None, "island worker used before init"
-    request = SolveRequest(graph=_ISLAND_GRAPH, **request_args)
+    """Advance one island ``steps`` iterations on a pool worker."""
+    request = SolveRequest(graph=worker.graph, **request_args)
     session = solver.start(request, checkpoint=checkpoint)
     for _ in range(steps):
         if not session.step():
@@ -109,8 +98,7 @@ class IslandGroup:
         #: Best objective ever seen across islands (parent incumbent
         #: events fire on strict improvements of this).
         self.tracked_best: float | None = None
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        self._store: GraphStore | None = None
+        self._pool: GraphPool | None = None
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -233,14 +221,17 @@ class IslandGroup:
                     break
 
     def _advance_parallel(self) -> None:
-        pool = self._ensure_pool()
         request = self.parent.request
+        if self._pool is None:
+            self._pool = GraphPool(
+                request.graph, min(self.jobs, len(self.children))
+            )
         request_args = self._child_request_args(request)
-        futures: dict[int, concurrent.futures.Future] = {}
+        futures = {}
         for i, child in enumerate(self.children):
             if child.status != STATUS_RUNNING:
                 continue
-            futures[i] = pool.submit(
+            futures[i] = self._pool.submit(
                 _island_step,
                 self.parent.solver,
                 request_args,
@@ -248,8 +239,9 @@ class IslandGroup:
                 self.interval,
             )
         # Rebuild in island order so any worker exception surfaces
-        # deterministically; the returned checkpoints are exact, making
-        # this round bit-identical to the serial mode.
+        # deterministically; the returned checkpoints carry each island's
+        # whole state, so this round matches the serial mode (bit for
+        # bit on integral weights; see the module docstring).
         for i, future in futures.items():
             advanced = future.result()
             child_request = SolveRequest(
@@ -258,17 +250,6 @@ class IslandGroup:
             self.children[i] = self.parent.solver.start(
                 child_request, checkpoint=advanced
             )
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            graph = self.parent.request.graph
-            self._store = GraphStore.create(graph)
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(self.children)),
-                initializer=_island_worker_init,
-                initargs=(self._store.handle,),
-            )
-        return self._pool
 
     # -- incumbents & migration --------------------------------------------
     def _scan_incumbents(self) -> None:
@@ -360,8 +341,5 @@ class IslandGroup:
         """Tear down the island pool and its shared graph segment
         (idempotent; called automatically when the last island stops)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool.close()
             self._pool = None
-        if self._store is not None:
-            self._store.destroy()
-            self._store = None

@@ -154,7 +154,9 @@ class SolveRequest:
         steps the islands round-robin in-process; for graphs with
         integral edge weights both modes produce bit-identical results
         (islands travel between intervals as checkpoints, which are
-        exact — see the session determinism contract).
+        exact — see the session determinism contract).  With float
+        weights the partitions match, but a resumed island's objective
+        can differ in the last digits.
     """
 
     graph: Graph

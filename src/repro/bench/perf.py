@@ -377,7 +377,7 @@ def _bench_graph_transport(
 ) -> list[PerfRecord]:
     import pickle
 
-    from repro.graph.store import _ATTACHMENTS, GraphStore, pickled_graph_bytes
+    from repro.graph.store import _ATTACHMENTS, GraphStore
 
     graph = _unit_geometric(n, seed)
 
@@ -407,7 +407,7 @@ def _bench_graph_transport(
         payload_bytes=len(handle_blob),
         reference_payload_bytes=len(graph_blob),
         notes=f"segment create + O(1) handle pickle vs full CSR pickle; "
-              f"CSR arrays are {pickled_graph_bytes(graph)} B in memory",
+              f"CSR arrays are {handle.total_nbytes()} B in memory",
     )
 
     # "Attach": what a worker pays to materialise the graph — zero-copy

@@ -290,8 +290,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             max_attempts=args.retries + 1, backoff=args.retry_backoff
         ),
         task_timeout=args.task_timeout,
-        # --faults overrides REPRO_FAULTS (the runner reads the env var
-        # itself when faults is None).
         faults=FaultInjector.parse(args.faults) if args.faults else None,
     )
     result = runner.run(problem)
@@ -636,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--island-jobs", type=int, default=1,
                    help="worker processes for island rounds (execution "
                         "mode only; results are identical to --island-jobs"
-                        " 1)")
+                        " 1 on integral edge weights, and match to "
+                        "rounding on float weights)")
     s.add_argument("--events", default=None,
                    help="stream one JSON event per line to this file")
     s.add_argument("--checkpoint", default=None,
@@ -686,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(partial results kept), silent workers are reaped")
     f.add_argument("--faults", default=None,
                    help="chaos fault injection spec, e.g. 'crash@0,0,1;"
-                        "hang@1,0,1,30' (overrides REPRO_FAULTS)")
+                        "hang@1,0,1,30'")
     f.add_argument("--json", default=None,
                    help="write the full portfolio report to this file")
     f.add_argument("-o", "--output", default=None,

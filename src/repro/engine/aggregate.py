@@ -11,9 +11,10 @@ consumers can detect format drift).
 Schema history: ``v3`` added the fault-tolerance fields ``attempts``,
 ``error_kind`` and ``fault_trace`` to every run record (``v2`` added the
 ``version`` stamp).  Additive within ``v3``: every run record now also
-carries ``graph_transport`` (``"shm"``/``"pickle"``) and
-``payload_bytes`` (the per-worker graph ship size under that transport),
-making the zero-copy win auditable from the report alone.
+carries ``graph_transport`` (``"shm"`` from the process pool,
+``"inline"`` from ``jobs=1``) and ``payload_bytes`` (what each worker
+received in place of the graph), making the zero-copy win auditable
+from the report alone.
 """
 
 from __future__ import annotations
@@ -73,14 +74,14 @@ class RunRecord:
         faults, worker deaths, reap events, retries, pool rebuilds.
         Empty for an uneventful run.
     graph_transport:
-        How the graph reached this run's executor: ``"shm"`` (O(1)
-        shared-memory handle) or ``"pickle"`` (CSR arrays serialised
-        per worker; also reported by the in-process executor, which
-        mirrors pickling via deep copies).  ``None`` on records built
-        outside the runner.
+        How the graph reached this run's executor: ``"shm"`` (pool
+        workers map one shared-memory copy through an O(1) handle) or
+        ``"inline"`` (``jobs=1`` runs in the caller's process, so the
+        graph goes nowhere).  ``None`` on records built outside the
+        runner.
     payload_bytes:
-        Per-worker graph ship size in bytes under that transport — the
-        handle's pickled size for shm, the CSR array payload for pickle.
+        Bytes each worker received in place of the graph — the handle's
+        pickled size for shm, 0 inline.
     """
 
     label: str

@@ -16,13 +16,13 @@ where ``kind`` is one of
 
 ``crash``
     kill the task: pool workers die outright (``os._exit``, taking the
-    worker process with them → ``BrokenProcessPool``); the in-process
-    executor simulates the death by raising
+    worker process with them → ``BrokenProcessPool``); the inline
+    executor (``jobs=1``) simulates the death by raising
     :class:`~repro.common.exceptions.SolverCrash`.
 ``hang``
     go silent for ``DURATION`` seconds (default 30): no heartbeats, no
     progress.  Pool workers get reaped by the runner's straggler timer;
-    in-process the hang cooperatively raises
+    inline the hang cooperatively raises
     :class:`~repro.common.exceptions.TaskTimeout` once the task timeout
     passes (the closest single-process analogue of being reaped).
 ``fail``
@@ -39,9 +39,9 @@ where ``kind`` is one of
     hang@*,1,1,0.5                 # every spec's seed #1 hangs 0.5s once
     fail@2,*,*                     # spec #2 always fails (never succeeds)
 
-The ``REPRO_FAULTS`` environment variable carries the same grammar, so
-chaos runs need no code changes:
-``REPRO_FAULTS='crash@0,0,1' repro portfolio … --retries 1``.
+Injectors reach the runner through ``PortfolioRunner(faults=...)`` or
+the CLI's ``--faults`` option:
+``repro portfolio … --retries 1 --faults 'crash@0,0,1'``.
 """
 
 from __future__ import annotations
@@ -166,16 +166,6 @@ class FaultInjector:
                 )
             )
         return cls(faults=tuple(faults))
-
-    @classmethod
-    def from_env(cls, environ=None) -> "FaultInjector | None":
-        """Injector from ``REPRO_FAULTS``, or None when unset/empty."""
-        text = (environ if environ is not None else os.environ).get(
-            "REPRO_FAULTS", ""
-        ).strip()
-        if not text:
-            return None
-        return cls.parse(text)
 
     def fault_for(
         self, spec_index: int, seed_index: int, attempt: int

@@ -4,22 +4,20 @@ Execution model
 ---------------
 :class:`PortfolioRunner` expands its specs into a ``(spec × seed)`` task
 grid; every task drives its entrant as a :class:`repro.api.SolveSession`
-(see :func:`execute_task`) on one of two executors:
+(see :func:`execute_task`).  One scheduling loop runs the grid on one of
+two pools from :mod:`repro.graph.pool`, which share an interface:
 
-* **in-process** (``jobs=1``) — tasks run sequentially in the caller's
-  process.  Each task is deep-copied first, mirroring the pickling a
-  pool performs, so results are bit-identical between executors.
-* **process pool** (``jobs>1``) — a ``concurrent.futures``
-  ``ProcessPoolExecutor`` whose workers attach the graph *once* via the
-  pool initializer.  With the default ``shm`` transport the initializer
-  ships an O(1) :class:`~repro.graph.GraphHandle` and every worker maps
-  read-only views over one shared-memory copy of the CSR arrays
-  (``graph_transport="pickle"`` restores the legacy per-worker array
-  pickle); tasks then ship only the spec and seed, never the graph.
-  Self-heal rebuilds re-attach the *same* segment, and the owning
-  :class:`~repro.graph.GraphStore` is destroyed in the runner's
-  ``finally`` — normal exit, deadline cancel and worker crashes all
-  unlink the segment exactly once.
+* **process pool** (``jobs>1``) — a :class:`~repro.graph.pool.GraphPool`
+  publishes the graph to one shared-memory segment, and its workers map
+  it once through the executor's initializer; tasks then ship only the
+  spec and seed, never the graph.  Self-heal rebuilds re-attach the
+  *same* segment, and the pool is closed in the runner's ``finally`` —
+  normal exit, deadline cancel and worker crashes all unlink the segment
+  exactly once.
+* **inline** (``jobs=1``) — an :class:`~repro.graph.pool.InlinePool`
+  runs the tasks one at a time in the caller's process, each on a
+  private copy of its task (as pickling to a worker gives), so results
+  are bit-identical between the two.
 
 Determinism: task ``(s, i)`` is seeded with
 ``SeedSequence([base, s, i])``, a pure function of the runner's base
@@ -52,19 +50,23 @@ Deadline/cancellation: a runner-level ``deadline`` (seconds) cancels
 every task that has not *started* when it expires; such tasks come back
 as failed records whose error distinguishes "never scheduled" from
 "reaped while queued on the executor" and says how long the task waited.
-Tasks already running are allowed to finish (bound their runtime with
-``task_timeout`` or the per-run ``time_budget`` of the metaheuristics).
+A retry the deadline cuts off instead keeps its last error plus a
+"retry abandoned" note, and is given up as soon as its backoff would
+outlast the deadline.  Tasks already running are allowed to finish
+(bound their runtime with ``task_timeout`` or the per-run
+``time_budget`` of the metaheuristics).
 
 Chaos testing: a :class:`~repro.engine.faults.FaultInjector` (the
-``faults`` option, or the ``REPRO_FAULTS`` environment variable) makes
-chosen grid cells crash, hang, fail or corrupt their result on chosen
-attempts — deterministically, on both executors.
+``faults`` option) makes chosen grid cells crash, hang, fail or corrupt
+their result on chosen attempts — deterministically, on both pools.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import copy
+import multiprocessing
 import os
 import queue as queue_mod
 import signal
@@ -97,12 +99,9 @@ from repro.engine.problem import PartitionProblem
 from repro.engine.retry import RetryPolicy
 from repro.engine.spec import SolverSpec
 from repro.graph.graph import Graph
-from repro.graph.store import GraphHandle, GraphStore, pickled_graph_bytes
+from repro.graph.pool import GraphPool, InlinePool, PoolWorker
 
 __all__ = ["PortfolioRunner", "RunTask", "execute_task", "validate_assignment"]
-
-#: Valid ``PortfolioRunner.graph_transport`` settings.
-GRAPH_TRANSPORTS = ("auto", "shm", "pickle")
 
 
 @dataclass
@@ -278,62 +277,42 @@ def execute_task(
         return record
 
 
-# ---------------------------------------------------------------------------
-# Process-pool plumbing.  The graph crosses the process boundary once per
-# worker through the initializer — as an O(1) GraphHandle on the shm
-# transport (the worker attaches read-only views over the shared segment)
-# or as a trusted-unpickled Graph on the legacy pickle transport — and is
-# cached in a module global; tasks then pickle small.  The heartbeat queue
-# (a Manager proxy) carries start/beat/end liveness records back to the
-# runner for straggler reaping and casualty attribution.
-# ---------------------------------------------------------------------------
-_POOL_GRAPH: Graph | None = None
-_POOL_BEATS = None
+def _run_task(worker: PoolWorker, task: RunTask) -> RunRecord:
+    """One attempt on a pool worker, or inline in the caller's process.
 
-
-def _worker_init(graph_ref: GraphHandle | Graph, beats=None) -> None:
-    global _POOL_GRAPH, _POOL_BEATS
-    if isinstance(graph_ref, GraphHandle):
-        _POOL_GRAPH = Graph.from_handle(graph_ref)
-    else:
-        _POOL_GRAPH = graph_ref
-    _POOL_BEATS = beats
-
-
-def _worker_run(task: RunTask) -> RunRecord:
-    assert _POOL_GRAPH is not None, "pool worker used before initialisation"
+    Pool workers report start/beat/end records on the runner's heartbeat
+    queue (a Manager proxy) for straggler reaping and casualty
+    attribution; inline, nothing can be reaped, so the task just runs.
+    """
+    if not worker.in_pool:
+        return execute_task(task, worker.graph)
     key = (task.spec_index, task.seed_index)
     pid = os.getpid()
-    on_heartbeat = None
-    if _POOL_BEATS is not None:
 
-        def beat(kind: str = "beat") -> None:
-            try:
-                _POOL_BEATS.put((kind, key, task.attempt, pid))
-            except Exception:  # noqa: BLE001
-                # The manager is gone (runner tearing down) — liveness
-                # reporting must never fail the task itself.
-                pass
+    def beat(kind: str = "beat") -> None:
+        try:
+            worker.beats.put((kind, key, task.attempt, pid))
+        except Exception:  # noqa: BLE001
+            # The manager is gone (runner tearing down) — liveness
+            # reporting must never fail the task itself.
+            pass
 
-        on_heartbeat = beat
-        beat("start")
+    beat("start")
     try:
-        record = execute_task(
-            task, _POOL_GRAPH, in_pool=True, on_heartbeat=on_heartbeat
+        return execute_task(
+            task, worker.graph, in_pool=True, on_heartbeat=beat
         )
     finally:
         # An injected crash (os._exit) skips this on purpose: no "end"
         # beat is exactly how the runner attributes the casualty.
-        if on_heartbeat is not None:
-            beat("end")
-    return record
+        beat("end")
 
 
 class _TaskState:
-    """Scheduler state for one grid cell on the pool executor."""
+    """Scheduler state for one grid cell."""
 
     __slots__ = (
-        "task", "attempt", "trace", "eligible_at", "future", "started",
+        "task", "attempt", "trace", "eligible_at", "failed", "started",
         "ended", "last_beat", "pid", "reaped",
     )
 
@@ -342,7 +321,7 @@ class _TaskState:
         self.attempt = 1           # next/current attempt number (1-based)
         self.trace: list[str] = []
         self.eligible_at = 0.0     # monotonic time the next submit is allowed
-        self.future = None
+        self.failed: RunRecord | None = None  # record the retry is redoing
         self.started = False       # worker picked the task up (start beat)
         self.ended = False         # worker finished execute_task (end beat)
         self.last_beat = 0.0
@@ -361,8 +340,8 @@ class PortfolioRunner:
     num_seeds:
         Seeds per spec; the task grid is ``len(specs) × num_seeds``.
     jobs:
-        Worker processes.  ``1`` runs in-process; ``None`` uses the CPU
-        count.
+        Worker processes.  ``1`` runs the tasks inline, one at a time in
+        the caller's process; ``None`` uses the CPU count.
     seed:
         Base entropy of the default seed grid (``None`` = fresh OS
         entropy, recorded on the runner for reproducibility).
@@ -379,13 +358,11 @@ class PortfolioRunner:
         it (no heartbeats) are reaped by killing their worker.
     faults:
         Optional :class:`~repro.engine.faults.FaultInjector` for chaos
-        testing; defaults to whatever ``REPRO_FAULTS`` specifies.
+        testing (default: no faults).
     graph_transport:
-        How the graph reaches pool workers: ``"shm"`` (one shared-memory
-        copy, O(1) handle per worker), ``"pickle"`` (legacy per-worker
-        CSR array pickle) or ``"auto"`` (shm when ``jobs > 1``).  The
-        in-process executor always reports ``"pickle"`` — nothing
-        crosses a process boundary there.
+        Accepted for compatibility; ``"shm"`` is the only value.  Pool
+        workers map one shared-memory copy of the graph, and inline
+        records report ``"inline"``.
     islands:
         Islands per solve for the iterative families (annealing, ant
         colony, fusion-fission); methods without island support run
@@ -404,7 +381,7 @@ class PortfolioRunner:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     task_timeout: float | None = None
     faults: FaultInjector | None = None
-    graph_transport: str = "auto"
+    graph_transport: str = "shm"
     islands: int = 1
     migration_interval: int = 10
 
@@ -431,11 +408,9 @@ class PortfolioRunner:
             raise ConfigurationError(
                 f"task_timeout must be > 0, got {self.task_timeout}"
             )
-        if self.faults is None:
-            self.faults = FaultInjector.from_env()
-        if self.graph_transport not in GRAPH_TRANSPORTS:
+        if self.graph_transport != "shm":
             raise ConfigurationError(
-                f"graph_transport must be one of {GRAPH_TRANSPORTS}, "
+                "graph_transport must be 'shm', "
                 f"got {self.graph_transport!r}"
             )
         if self.islands < 1:
@@ -487,38 +462,12 @@ class PortfolioRunner:
                 )
         return tasks
 
-    # -- fault/retry helpers ----------------------------------------------
+    # -- execution ---------------------------------------------------------
     def _fault_for(self, task: RunTask, attempt: int) -> FaultSpec | None:
         if self.faults is None:
             return None
         return self.faults.fault_for(task.spec_index, task.seed_index, attempt)
 
-    def _cancelled_record(
-        self,
-        task: RunTask,
-        deadline: Deadline,
-        attempts_done: int,
-        trace: list[str],
-        queued: bool,
-    ) -> RunRecord:
-        """A deadline-cancellation record carrying wait-time context."""
-        waited = deadline.elapsed()
-        where = (
-            "reaped while queued on the executor" if queued
-            else "never scheduled"
-        )
-        record = task.blank_record(
-            error=(
-                f"cancelled: deadline {deadline.seconds:g}s expired; "
-                f"{where} (waited {waited:.2f}s since run start)"
-            ),
-            error_kind=ERROR_KIND_CANCELLED,
-        )
-        record.attempts = attempts_done
-        record.fault_trace = trace
-        return record
-
-    # -- execution ---------------------------------------------------------
     def run(
         self,
         problem: PartitionProblem,
@@ -530,111 +479,32 @@ class PortfolioRunner:
         Records are returned sorted by grid coordinates regardless of
         completion order; ``on_record`` fires as results arrive.  An
         exception raised by ``on_record`` aborts the run — remaining
-        tasks are cancelled (pool tasks already executing still finish)
-        and the exception propagates to the caller.
+        tasks are cancelled (pool tasks already executing still finish;
+        inline, no further task starts) and the exception propagates to
+        the caller.
         """
         tasks = self.make_tasks(problem, seed_grid)
         deadline = Deadline(self.deadline)
-        if self.jobs == 1:
-            records = self._run_inprocess(problem, tasks, deadline, on_record)
-        else:
-            records = self._run_pool(problem, tasks, deadline, on_record)
+        with contextlib.ExitStack() as stack:
+            if self.jobs == 1:
+                pool, beats = InlinePool(problem.graph), None
+            else:
+                beats = stack.enter_context(multiprocessing.Manager()).Queue()
+                pool = GraphPool(
+                    problem.graph, min(self.jobs, len(tasks)), beats
+                )
+            # Closed before the manager on every exit path — deadline
+            # cancellations and on_record aborts included — so the graph
+            # segment is unlinked exactly once.
+            stack.callback(pool.close)
+            records = self._schedule(pool, beats, tasks, deadline, on_record)
         records.sort(key=lambda r: (r.spec_index, r.seed_index))
         return PortfolioResult(problem=problem, records=records)
 
-    def _run_inprocess(
-        self,
-        problem: PartitionProblem,
-        tasks: list[RunTask],
-        deadline: Deadline,
-        on_record: Callable[[RunRecord], None] | None,
-    ) -> list[RunRecord]:
-        records = []
-        payload_bytes = pickled_graph_bytes(problem.graph)
-        for task in tasks:
-            if deadline.expired():
-                record = self._cancelled_record(
-                    task, deadline, attempts_done=0, trace=[], queued=False
-                )
-            else:
-                record = self._run_attempts_inprocess(
-                    task, problem.graph, deadline
-                )
-            record.graph_transport = "pickle"
-            record.payload_bytes = payload_bytes
-            if on_record is not None:
-                on_record(record)
-            records.append(record)
-        return records
-
-    def _run_attempts_inprocess(
-        self, task: RunTask, graph: Graph, deadline: Deadline
-    ) -> RunRecord:
-        """Drive one task through the retry loop on the caller's process."""
-        trace: list[str] = []
-        attempt = 1
-        while True:
-            # Deep-copy mirrors the pool's pickling: the caller's spec
-            # and seed objects are never mutated by the run, and every
-            # attempt starts from the identical task state.
-            attempt_task = copy.deepcopy(task)
-            attempt_task.attempt = attempt
-            attempt_task.timeout = self.task_timeout
-            attempt_task.fault = self._fault_for(task, attempt)
-            if attempt_task.fault is not None:
-                trace.append(
-                    f"attempt {attempt}: injected fault "
-                    f"{attempt_task.fault.describe()}"
-                )
-            record = execute_task(attempt_task, graph)
-            trace.extend(record.fault_trace)
-            record.fault_trace = trace
-            record.attempts = attempt
-            if record.ok or not self.retry.should_retry(
-                record.error_kind, attempt
-            ):
-                return record
-            backoff = self.retry.backoff_seconds(attempt)
-            trace.append(
-                f"attempt {attempt} failed ({record.error_kind}); "
-                f"retrying with the same seed"
-                + (f" after {backoff:g}s backoff" if backoff else "")
-            )
-            if backoff > 0:
-                if deadline.remaining() <= backoff:
-                    trace.append(
-                        "retry abandoned: runner deadline expires within "
-                        f"the {backoff:g}s backoff"
-                    )
-                    return record
-                time.sleep(backoff)
-            if deadline.expired():
-                trace.append("retry abandoned: runner deadline expired")
-                return record
-            attempt += 1
-
-    # -- pool executor ------------------------------------------------------
-    def resolved_transport(self) -> str:
-        """The concrete transport ``"auto"`` resolves to for this runner."""
-        if self.graph_transport == "auto":
-            return "shm" if self.jobs > 1 else "pickle"
-        return self.graph_transport
-
-    def _new_pool(
-        self, graph_ref: GraphHandle | Graph, beats, max_workers: int
-    ) -> concurrent.futures.ProcessPoolExecutor:
-        """Build the executor; ``graph_ref`` is the transport-specific
-        graph reference (handle or graph) every worker initialises from.
-        Heal rebuilds pass the *same* ref, so shm workers re-attach the
-        segment the dead pool was using."""
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_worker_init,
-            initargs=(graph_ref, beats),
-        )
-
     @staticmethod
     def _drain_beats(beats, states: dict) -> None:
+        if beats is None:
+            return
         now = time.monotonic()
         while True:
             try:
@@ -651,33 +521,22 @@ class PortfolioRunner:
             elif kind == "end":
                 state.ended = True
 
-    def _run_pool(
+    def _schedule(
         self,
-        problem: PartitionProblem,
+        pool: GraphPool | InlinePool,
+        beats,
         tasks: list[RunTask],
         deadline: Deadline,
         on_record: Callable[[RunRecord], None] | None,
     ) -> list[RunRecord]:
-        import multiprocessing
-
-        graph = problem.graph
-        transport = self.resolved_transport()
-        store: GraphStore | None = None
-        if transport == "shm":
-            store = GraphStore.create(graph)
-            graph_ref: GraphHandle | Graph = store.handle
-            payload_bytes = store.handle.payload_bytes()
-        else:
-            graph_ref = graph
-            payload_bytes = pickled_graph_bytes(graph)
+        """The scheduling loop: submit, wait, resolve, heal, reap, cancel."""
         records: list[RunRecord] = []
         states = {
             (t.spec_index, t.seed_index): _TaskState(t) for t in tasks
         }
-        waiting = [(t.spec_index, t.seed_index) for t in tasks]
+        waiting = list(states)
         futures: dict = {}
         finished: set = set()
-        max_workers = min(self.jobs, len(tasks))
         # Reap threshold: silence past the timeout, plus slack so that
         # post-pause scoring or scheduler hiccups never look like hangs.
         grace = 0.0
@@ -685,20 +544,36 @@ class PortfolioRunner:
             grace = min(5.0, max(0.5, 0.25 * self.task_timeout))
         blind_heals = 0
 
-        manager = multiprocessing.Manager()
-        beats = manager.Queue()
-        pool = self._new_pool(graph_ref, beats, max_workers)
-
-        def emit(record: RunRecord) -> None:
-            record.graph_transport = transport
-            record.payload_bytes = payload_bytes
+        def finish(key, record: RunRecord) -> None:
+            finished.add(key)
+            record.graph_transport = pool.transport
+            record.payload_bytes = pool.payload_bytes
             if on_record is not None:
                 on_record(record)
             records.append(record)
 
-        def finish(key, record: RunRecord) -> None:
-            finished.add(key)
-            emit(record)
+        def cut_off(key, queued: bool) -> None:
+            """Finish a task the deadline stopped before its next attempt."""
+            state = states[key]
+            if state.failed is not None:
+                # A retry keeps the error of the attempt it was redoing.
+                state.trace.append("retry abandoned: runner deadline expired")
+                finish(key, state.failed)
+                return
+            where = (
+                "reaped while queued on the executor" if queued
+                else "never scheduled"
+            )
+            record = state.task.blank_record(
+                error=(
+                    f"cancelled: deadline {deadline.seconds:g}s expired; "
+                    f"{where} (waited {deadline.elapsed():.2f}s since run "
+                    "start)"
+                ),
+                error_kind=ERROR_KIND_CANCELLED,
+            )
+            record.fault_trace = state.trace
+            finish(key, record)
 
         def resolve_attempt(key, record: RunRecord) -> None:
             """Merge traces, then finish the task or queue a retry."""
@@ -717,6 +592,15 @@ class PortfolioRunner:
                 f"retrying with the same seed"
                 + (f" after {backoff:g}s backoff" if backoff else "")
             )
+            if deadline.remaining() <= backoff:
+                state.trace.append(
+                    "retry abandoned: runner deadline "
+                    + (f"expires within the {backoff:g}s backoff"
+                       if backoff else "expired")
+                )
+                finish(key, record)
+                return
+            state.failed = record
             state.attempt += 1
             state.eligible_at = time.monotonic() + backoff
             waiting.append(key)
@@ -732,15 +616,14 @@ class PortfolioRunner:
         def heal(broken_keys: list) -> None:
             """Rebuild the executor after a worker death; charge only the
             task(s) that were actually running."""
-            nonlocal pool, blind_heals
+            nonlocal blind_heals
             self._drain_beats(beats, states)
-            for fut in list(futures):
-                broken_keys.append(futures.pop(fut))
+            broken_keys.extend(futures.values())
+            futures.clear()
             casualties = []
             innocents = []
             for key in broken_keys:
                 state = states[key]
-                state.future = None
                 if state.started and not state.ended:
                     casualties.append(key)
                 else:
@@ -802,187 +685,140 @@ class PortfolioRunner:
                     )
                     state.eligible_at = 0.0
                     waiting.append(key)
-            pool.shutdown(wait=False, cancel_futures=True)
-            # Same graph_ref: replacement shm workers re-attach the very
-            # segment their predecessors were mapped to — no re-copy.
-            pool = self._new_pool(graph_ref, beats, max_workers)
+            # Replacement workers re-attach the very segment their
+            # predecessors were mapped to — no re-copy.
+            pool.rebuild()
 
-        try:
-            while len(finished) < len(states):
-                now = time.monotonic()
-                # 1. Submit every eligible waiting task (the deadline is
-                # checked per task *before* it starts, mirroring the
-                # in-process executor).
-                if waiting:
-                    # heal()/resolve_attempt() append to `waiting` while we
-                    # iterate, so drain a snapshot and let them target the
-                    # (emptied) live list.
-                    queued_keys = waiting[:]
-                    waiting[:] = []
-                    for idx, key in enumerate(queued_keys):
-                        state = states[key]
-                        if deadline.expired():
-                            finish(
-                                key,
-                                self._cancelled_record(
-                                    state.task,
-                                    deadline,
-                                    attempts_done=state.attempt - 1,
-                                    trace=state.trace,
-                                    queued=False,
-                                ),
-                            )
-                            continue
-                        if state.eligible_at > now:
-                            waiting.append(key)
-                            continue
-                        attempt_task = copy.copy(state.task)
-                        attempt_task.attempt = state.attempt
-                        attempt_task.timeout = self.task_timeout
-                        attempt_task.fault = self._fault_for(
-                            state.task, state.attempt
-                        )
-                        state.started = False
-                        state.ended = False
-                        state.pid = None
-                        state.reaped = False
-                        state.last_beat = now
-                        try:
-                            future = pool.submit(_worker_run, attempt_task)
-                        except BrokenProcessPool:
-                            # The pool died between wait cycles; requeue
-                            # this key and the rest of the snapshot, heal
-                            # (it requeues everything in flight too) and
-                            # retry submission on the fresh pool.
-                            waiting.extend(queued_keys[idx:])
-                            heal([])
-                            break
-                        if attempt_task.fault is not None:
-                            state.trace.append(
-                                f"attempt {state.attempt}: injected fault "
-                                f"{attempt_task.fault.describe()}"
-                            )
-                        state.future = future
-                        futures[future] = key
-                if not futures:
-                    if not waiting:
-                        continue  # everything resolved; loop re-checks
-                    # All remaining tasks are backing off — sleep until
-                    # the earliest becomes eligible (or deadline math
-                    # cancels them on the next pass).
-                    wake = min(states[k].eligible_at for k in waiting)
-                    pause = max(0.01, min(wake - time.monotonic(), 0.5))
-                    time.sleep(pause)
-                    continue
-
-                # 2. Wait for completions, but wake often enough to run
-                # the reaper/deadline/backoff sweeps.
-                timeouts = []
-                if deadline.seconds is not None and not deadline.expired():
-                    timeouts.append(max(deadline.remaining(), 0.05))
-                if self.task_timeout is not None:
-                    timeouts.append(
-                        min(0.25, max(0.05, self.task_timeout / 4.0))
-                    )
-                if waiting:
-                    earliest = min(states[k].eligible_at for k in waiting)
-                    timeouts.append(max(earliest - now, 0.01))
-                done, _ = concurrent.futures.wait(
-                    set(futures),
-                    timeout=min(timeouts) if timeouts else None,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                self._drain_beats(beats, states)
-
-                # 3. Collect finished futures; a BrokenProcessPool means
-                # a worker died — defer those to the healing pass.
-                broken_keys: list = []
-                pool_broke = False
-                for future in done:
-                    key = futures.pop(future)
+        while len(finished) < len(states):
+            now = time.monotonic()
+            # 1. Submit the eligible waiting tasks the pool has room for
+            # (the deadline is checked per task *before* it starts, so
+            # tasks the inline pool never took are "never scheduled").
+            if waiting:
+                # heal()/resolve_attempt() append to `waiting` while we
+                # iterate, so drain a snapshot and let them target the
+                # (emptied) live list.
+                queued_keys = waiting[:]
+                waiting[:] = []
+                for idx, key in enumerate(queued_keys):
                     state = states[key]
+                    if deadline.expired():
+                        cut_off(key, queued=False)
+                        continue
+                    if (
+                        state.eligible_at > now
+                        or len(futures) >= pool.capacity
+                    ):
+                        waiting.append(key)
+                        continue
+                    attempt_task = copy.copy(state.task)
+                    attempt_task.attempt = state.attempt
+                    attempt_task.timeout = self.task_timeout
+                    attempt_task.fault = self._fault_for(
+                        state.task, state.attempt
+                    )
+                    state.started = False
+                    state.ended = False
+                    state.pid = None
+                    state.reaped = False
+                    state.last_beat = now
                     try:
-                        record = future.result()
-                    except concurrent.futures.CancelledError:
-                        # Should only happen via the deadline sweep below
-                        # (which already emitted the record) — but never
-                        # let a cancelled future leak an unresolved task.
-                        if key not in finished:
-                            state.future = None
-                            finish(
-                                key,
-                                self._cancelled_record(
-                                    state.task,
-                                    deadline,
-                                    attempts_done=state.attempt - 1,
-                                    trace=state.trace,
-                                    queued=True,
-                                ),
-                            )
-                        continue
+                        future = pool.submit(_run_task, attempt_task)
                     except BrokenProcessPool:
-                        pool_broke = True
-                        broken_keys.append(key)
-                        continue
-                    except Exception as exc:  # noqa: BLE001
-                        state.future = None
-                        resolve_failure(
-                            key,
-                            error=f"{type(exc).__name__}: {exc}",
-                            error_kind=classify_error(exc),
+                        # The pool died between wait cycles; requeue this
+                        # key and the rest of the snapshot, heal (it
+                        # requeues everything in flight too) and retry
+                        # submission on the fresh pool.
+                        waiting.extend(queued_keys[idx:])
+                        heal([])
+                        break
+                    if attempt_task.fault is not None:
+                        state.trace.append(
+                            f"attempt {state.attempt}: injected fault "
+                            f"{attempt_task.fault.describe()}"
                         )
-                        continue
-                    state.future = None
-                    resolve_attempt(key, record)
-                if pool_broke:
-                    heal(broken_keys)
+                    futures[future] = key
+            if not futures:
+                if not waiting:
+                    continue  # everything resolved; loop re-checks
+                # All remaining tasks are backing off — sleep until the
+                # earliest becomes eligible (or deadline math cancels
+                # them on the next pass).
+                wake = min(states[k].eligible_at for k in waiting)
+                time.sleep(max(0.01, min(wake - time.monotonic(), 0.5)))
+                continue
+
+            # 2. Wait for completions (inline: run the next queued task),
+            # but wake often enough to run the reaper/deadline/backoff
+            # sweeps.
+            timeouts = []
+            if deadline.seconds is not None and not deadline.expired():
+                timeouts.append(max(deadline.remaining(), 0.05))
+            if self.task_timeout is not None:
+                timeouts.append(min(0.25, max(0.05, self.task_timeout / 4.0)))
+            if waiting:
+                earliest = min(states[k].eligible_at for k in waiting)
+                timeouts.append(max(earliest - now, 0.01))
+            done = pool.wait(
+                set(futures), timeout=min(timeouts) if timeouts else None
+            )
+            self._drain_beats(beats, states)
+
+            # 3. Collect finished futures; a BrokenProcessPool means a
+            # worker died — defer those to the healing pass.
+            broken_keys: list = []
+            for future in done:
+                key = futures.pop(future)
+                try:
+                    record = future.result()
+                except concurrent.futures.CancelledError:
+                    # Should only happen via the deadline sweep below
+                    # (which already finished the task) — but never let a
+                    # cancelled future leak an unresolved task.
+                    if key not in finished:
+                        cut_off(key, queued=True)
                     continue
+                except BrokenProcessPool:
+                    broken_keys.append(key)
+                    continue
+                except Exception as exc:  # noqa: BLE001
+                    resolve_failure(
+                        key,
+                        error=f"{type(exc).__name__}: {exc}",
+                        error_kind=classify_error(exc),
+                    )
+                    continue
+                resolve_attempt(key, record)
+            if broken_keys:
+                heal(broken_keys)
+                continue
 
-                # 4. Reap stragglers: a started task whose heartbeats
-                # stopped longer than the timeout ago gets its worker
-                # killed (surfaces as BrokenProcessPool next cycle).
-                if self.task_timeout is not None:
-                    silence_limit = self.task_timeout + grace
-                    now = time.monotonic()
-                    for future, key in list(futures.items()):
-                        state = states[key]
-                        if (
-                            state.started
-                            and not state.ended
-                            and not state.reaped
-                            and state.pid is not None
-                            and now - state.last_beat > silence_limit
-                        ):
-                            state.reaped = True
-                            try:
-                                os.kill(state.pid, signal.SIGKILL)
-                            except (ProcessLookupError, PermissionError):
-                                pass
+            # 4. Reap stragglers: a started task whose heartbeats stopped
+            # longer than the timeout ago gets its worker killed
+            # (surfaces as BrokenProcessPool next cycle).
+            if self.task_timeout is not None:
+                silence_limit = self.task_timeout + grace
+                now = time.monotonic()
+                for key in futures.values():
+                    state = states[key]
+                    if (
+                        state.started
+                        and not state.ended
+                        and not state.reaped
+                        and state.pid is not None
+                        and now - state.last_beat > silence_limit
+                    ):
+                        state.reaped = True
+                        try:
+                            os.kill(state.pid, signal.SIGKILL)
+                        except (ProcessLookupError, PermissionError):
+                            pass
 
-                # 5. Deadline sweep: cancel whatever is still queued on
-                # the executor (running tasks are allowed to finish).
-                if deadline.expired():
-                    for future, key in list(futures.items()):
-                        if future.cancel():
-                            futures.pop(future)
-                            state = states[key]
-                            state.future = None
-                            finish(
-                                key,
-                                self._cancelled_record(
-                                    state.task,
-                                    deadline,
-                                    attempts_done=state.attempt - 1,
-                                    trace=state.trace,
-                                    queued=True,
-                                ),
-                            )
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            manager.shutdown()
-            if store is not None:
-                # After the pool is down nothing references the segment;
-                # this unlinks on every exit path, deadline cancellations
-                # and on_record aborts included.
-                store.destroy()
+            # 5. Deadline sweep: cancel whatever is still queued on the
+            # executor (running tasks are allowed to finish).
+            if deadline.expired():
+                for future, key in list(futures.items()):
+                    if future.cancel():
+                        futures.pop(future)
+                        cut_off(key, queued=True)
         return records

@@ -1,0 +1,148 @@
+"""One worker pool over one shared-memory graph.
+
+A :class:`GraphPool` publishes a graph to a
+:class:`~repro.graph.store.GraphStore` and starts a
+``ProcessPoolExecutor`` whose initializer maps that segment once per
+worker, together with an optional heartbeat queue the caller owns.
+``pool.submit(fn, *args)`` then ships only ``fn`` and its arguments and
+runs ``fn(worker, *args)`` in a worker, where ``worker`` is that
+process's :class:`PoolWorker`.  :meth:`GraphPool.rebuild` replaces a
+broken executor over the *same* segment, and :meth:`GraphPool.close`
+stops the executor before it unlinks the segment, so no worker outlives
+its graph.
+
+:class:`InlinePool` offers the same ``submit``/``wait``/``close`` in the
+caller's process, one call at a time (``capacity`` 1): each
+:meth:`InlinePool.wait` runs the oldest submitted call to completion on
+a private copy of its arguments, as pickling them to a worker would.
+The portfolio runner drives both through one scheduling loop; island
+rounds use :class:`GraphPool`.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import copy
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable
+
+from repro.graph.graph import Graph
+from repro.graph.store import GraphHandle, GraphStore
+
+__all__ = ["GraphPool", "InlinePool", "PoolWorker"]
+
+
+@dataclass(frozen=True)
+class PoolWorker:
+    """What a submitted function sees of the process running it."""
+
+    graph: Graph
+    beats: Any = None     # the caller's heartbeat queue, if it passed one
+    in_pool: bool = True  # False inline: nothing can kill or reap the task
+
+
+#: This process's worker, set by the pool initializer.
+_WORKER: PoolWorker | None = None
+
+
+def _attach(handle: GraphHandle, beats: Any) -> None:
+    global _WORKER
+    _WORKER = PoolWorker(Graph.from_handle(handle), beats)
+
+
+def _call(fn: Callable, args: tuple) -> Any:
+    assert _WORKER is not None, "pool worker used before initialisation"
+    return fn(_WORKER, *args)
+
+
+class GraphPool:
+    """``workers`` processes sharing one shared-memory copy of ``graph``."""
+
+    transport = "shm"
+    #: Calls worth submitting at once (the executor queues the rest).
+    capacity = math.inf
+
+    def __init__(self, graph: Graph, workers: int, beats: Any = None) -> None:
+        self.workers = workers
+        self._beats = beats
+        self._store = GraphStore.create(graph)
+        #: Bytes that reach each worker in place of the graph.
+        self.payload_bytes = self._store.handle.payload_bytes()
+        self._executor = self._start()
+
+    def _start(self) -> concurrent.futures.ProcessPoolExecutor:
+        # The platform's default start method (fork on Linux) is kept on
+        # purpose: workers start without re-importing numpy and the
+        # solvers, and inherit in-process instrumentation such as
+        # perfbench's tracer wrappers.
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_attach,
+            initargs=(self._store.handle, self._beats),
+        )
+
+    def submit(self, fn: Callable, *args) -> concurrent.futures.Future:
+        """Run ``fn(worker, *args)`` on a worker process."""
+        return self._executor.submit(_call, fn, args)
+
+    @staticmethod
+    def wait(futures, timeout: float | None = None) -> set:
+        """Wait for the first of ``futures`` (or ``timeout``); return the
+        done ones."""
+        done, _ = concurrent.futures.wait(
+            futures, timeout=timeout,
+            return_when=concurrent.futures.FIRST_COMPLETED,
+        )
+        return done
+
+    def rebuild(self) -> None:
+        """Replace a broken executor; new workers map the same segment."""
+        self._executor.shutdown(wait=False, cancel_futures=True)
+        self._executor = self._start()
+
+    def close(self) -> None:
+        """Stop the workers, then unlink the segment (idempotent)."""
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        self._store.destroy()
+
+
+class InlinePool:
+    """The pool interface in the caller's process, one call at a time.
+
+    Nothing here can die or hang out of reach, so there is no
+    ``rebuild`` and the worker carries no heartbeat queue.
+    """
+
+    transport = "inline"
+    payload_bytes = 0
+    capacity = 1
+
+    def __init__(self, graph: Graph) -> None:
+        self._worker = PoolWorker(graph, in_pool=False)
+        self._queue: deque = deque()
+
+    def submit(self, fn: Callable, *args) -> concurrent.futures.Future:
+        """Queue ``fn(worker, *args)`` on a snapshot of ``args``."""
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        self._queue.append((future, fn, copy.deepcopy(args)))
+        return future
+
+    def wait(self, futures, timeout: float | None = None) -> set:
+        """Run the oldest queued call, then return the done ``futures``."""
+        while self._queue:
+            future, fn, args = self._queue.popleft()
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(self._worker, *args))
+                except Exception as exc:  # noqa: BLE001 - as a worker would
+                    future.set_exception(exc)
+                break
+        return {future for future in futures if future.done()}
+
+    def close(self) -> None:
+        """Cancel every call that has not run."""
+        for future, _, _ in self._queue:
+            future.cancel()
+        self._queue.clear()

@@ -4,30 +4,33 @@ The portfolio engine fans one graph out to many worker processes.  Before
 this module existed the CSR arrays travelled by pickle — O(edges) bytes
 serialised per pool build, again after every self-heal rebuild.  A
 :class:`GraphStore` instead places the four CSR arrays
-(``indptr``/``indices``/``weights``/``vertex_weights``) into one
-``multiprocessing.shared_memory`` segment; what crosses the process
-boundary is a :class:`GraphHandle` — segment name, shapes, dtypes and a
-content hash — which pickles in O(1) regardless of graph size.  Workers
-attach the segment once and build a read-only :class:`~repro.graph.Graph`
-view over it (``Graph.from_handle``), so N workers share one physical
-copy of the graph.
+(``indptr``/``indices``/``weights``/``vertex_weights``) into one POSIX
+shared-memory segment; what crosses the process boundary is a
+:class:`GraphHandle` — segment name, shapes, dtypes and a content hash —
+which pickles in O(1) regardless of graph size.  Workers attach the
+segment once and build a read-only :class:`~repro.graph.Graph` view over
+it (``Graph.from_handle``), so N workers share one physical copy of the
+graph.
 
 Lifecycle rules (the part that is easy to get wrong):
 
 * **The creator owns the segment.**  ``GraphStore.create`` registers an
   ``atexit`` finaliser and supports ``with GraphStore.create(g) as store``;
-  either path closes *and unlinks* the segment exactly once.  The engine
-  destroys its store in the same ``finally`` that shuts the pool down,
-  so deadline cancellations and crashes unlink too.
-* **Attachers never unlink.**  CPython < 3.13 registers every attach
-  with the ``resource_tracker`` as if it were an owner, which makes a
-  short-lived attaching process "clean up" (unlink + leak warning) a
-  segment others still use.  Attachers therefore map the segment
-  without registering it at all (see ``_Attachment``), and the creator
-  untracks its segment immediately (see ``_untrack``); the lifecycle
-  above replaces the tracker backstop, and the only leak window left is
-  a creator killed with SIGKILL before its ``finally`` runs.  Tests
-  gate on ``PYTHONWARNINGS=error::UserWarning`` to keep it that way.
+  either path closes *and unlinks* the segment exactly once.  The worker
+  pool (:class:`repro.graph.pool.GraphPool`) destroys its store after
+  stopping its workers, so deadline cancellations and crashes unlink too.
+* **Nobody tells the resource tracker.**  ``SharedMemory`` registers
+  every segment it creates or attaches with ``multiprocessing``'s
+  ``resource_tracker``, an extra process that unlinks (with a leak
+  warning) whatever a process still has registered when it exits — a
+  short-lived attacher would "clean up" a segment others still use, and
+  forked workers sharing one tracker crashed it with a ``KeyError``.
+  Creator and attachers therefore open, map and unlink segments with the
+  same POSIX primitives ``SharedMemory`` uses (see ``_Segment``), and no
+  tracker process is ever started; the lifecycle above replaces its
+  backstop, and the only leak window left is a creator killed with
+  SIGKILL before its ``finally`` runs.  Tests gate on
+  ``PYTHONWARNINGS=error::UserWarning`` to keep it that way.
 * **Attachments are cached per process.**  Pool workers (and self-heal
   replacement workers) attach a given segment once; repeated
   ``Graph.from_handle`` calls with the same handle return the same
@@ -42,15 +45,15 @@ import mmap
 import os
 import pickle
 import secrets
-from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass
 
+import _posixshmem
 import numpy as np
 
 from repro.common.exceptions import GraphError
 from repro.graph.fingerprint import arrays_fingerprint as _content_hash
 
-__all__ = ["GraphHandle", "GraphStore", "pickled_graph_bytes"]
+__all__ = ["GraphHandle", "GraphStore"]
 
 #: Segment-name prefix; tests scan for strays under this.
 SEGMENT_PREFIX = "repro-graph-"
@@ -107,62 +110,34 @@ class GraphHandle:
         return len(pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def pickled_graph_bytes(graph) -> int:
-    """Per-worker ship size of the legacy pickle transport.
-
-    The array payload dominates the pickle stream (headers are tens of
-    bytes); summing ``nbytes`` avoids serialising a potentially huge
-    graph just to measure it.
-    """
-    return int(
-        graph.indptr.nbytes
-        + graph.indices.nbytes
-        + graph.weights.nbytes
-        + graph.vertex_weights.nbytes
-    )
-
-
 #: Per-process attachment cache: segment name -> GraphStore (non-owner).
 _ATTACHMENTS: dict[str, "GraphStore"] = {}
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Remove the creator's ``shm`` from its resource tracker.
+class _Segment:
+    """A POSIX shared-memory segment mapped without the resource tracker.
 
-    CPython < 3.13 registers every ``SharedMemory`` as if the process
-    owned the segment, so the tracker would unlink it (with a leak
-    warning) when the process exits.  ``GraphStore`` owns the lifecycle
-    itself (context manager, engine ``finally``, ``atexit``), so the
-    creator untracks right after creating; :meth:`GraphStore.unlink`
-    re-registers just before unlinking because ``SharedMemory.unlink``
-    unconditionally unregisters (an unbalanced unregister crashes the
-    tracker loop with a ``KeyError``).
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - tracker variants differ; best effort
-        pass
-
-
-class _Attachment:
-    """An existing segment mapped without telling the resource tracker.
-
-    ``SharedMemory(name=...)`` registers every attachment, and forked
-    pool workers share their parent's tracker, whose registry is a set:
-    two workers attaching at once could send REGISTER, REGISTER,
-    UNREGISTER, UNREGISTER, and the second UNREGISTER crashes the tracker
-    loop with a ``KeyError`` traceback.  An attacher never owns the
-    segment, so it opens and maps it with the same POSIX primitive
-    ``SharedMemory`` uses and sends the tracker nothing.  Exposes the
-    ``buf``/``close`` subset of ``SharedMemory`` that attachers use.
+    Opens (``size=None``) or creates a segment with the same
+    ``shm_open``/``mmap`` primitives ``SharedMemory`` uses, but sends the
+    tracker nothing (see the module docstring).  Exposes the ``buf``/
+    ``close``/``unlink`` subset of ``SharedMemory`` that ``GraphStore``
+    uses.
     """
 
-    def __init__(self, name: str) -> None:
-        import _posixshmem
-
-        fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+    def __init__(self, name: str, size: int | None = None) -> None:
+        self.name = name
+        flags = os.O_RDWR
+        if size is not None:
+            flags |= os.O_CREAT | os.O_EXCL
+        fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
         try:
-            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+            if size is not None:
+                os.ftruncate(fd, size)
+            self._mmap = mmap.mmap(fd, size or os.fstat(fd).st_size)
+        except OSError:
+            if size is not None:
+                self.unlink()
+            raise
         finally:
             os.close(fd)
         self.buf = memoryview(self._mmap)
@@ -172,6 +147,9 @@ class _Attachment:
         # like SharedMemory.close; GraphStore.close relies on that.
         self.buf.release()
         self._mmap.close()
+
+    def unlink(self) -> None:
+        _posixshmem.shm_unlink("/" + self.name)
 
 
 class GraphStore:
@@ -184,7 +162,7 @@ class GraphStore:
 
     def __init__(
         self,
-        shm: shared_memory.SharedMemory | _Attachment,
+        shm: _Segment,
         handle: GraphHandle,
         owner: bool,
     ) -> None:
@@ -196,7 +174,7 @@ class GraphStore:
 
     # -- construction ------------------------------------------------------
     @classmethod
-    def create(cls, graph, name: str | None = None) -> "GraphStore":
+    def create(cls, graph) -> "GraphStore":
         """Copy ``graph``'s CSR arrays into a fresh shared segment.
 
         The calling process owns the segment: destroy it with the
@@ -204,13 +182,9 @@ class GraphStore:
         backstops abnormal exits.
         """
         arrays = tuple(getattr(graph, f) for f in _FIELDS)
-        if name is None:
-            name = f"{SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(4)}"
+        name = f"{SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(4)}"
         total = sum(arr.nbytes for arr in arrays)
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(1, total), name=name
-        )
-        _untrack(shm)
+        shm = _Segment(name, size=max(1, total))
         offset = 0
         for arr in arrays:
             if arr.nbytes:
@@ -234,10 +208,8 @@ class GraphStore:
     def attach(cls, handle: GraphHandle) -> "GraphStore":
         """Attach to an existing segment (cached per process).
 
-        The attachment is *not* an owner: it never registers with the
-        ``resource_tracker`` (which would otherwise unlink the segment —
-        and warn about "leaked" memory — when this process exits) and
-        stays mapped for the life of the process.
+        The attachment is *not* an owner: it never unlinks the segment
+        and stays mapped for the life of the process.
         """
         cached = _ATTACHMENTS.get(handle.segment)
         if cached is not None and (
@@ -245,7 +217,7 @@ class GraphStore:
         ):
             return cached
         try:
-            shm = _Attachment(handle.segment)
+            shm = _Segment(handle.segment)
         except FileNotFoundError as exc:
             raise GraphError(
                 f"shared graph segment {handle.segment!r} does not exist "
@@ -299,9 +271,6 @@ class GraphStore:
         if self.owner:
             self.owner = False
             try:
-                # Balance the unregister inside SharedMemory.unlink (the
-                # segment was untracked at creation; see _untrack).
-                resource_tracker.register(self._shm._name, "shared_memory")
                 self._shm.unlink()
             except FileNotFoundError:
                 pass

@@ -206,6 +206,39 @@ class TestFailuresAndDeadline:
         )
         assert len(seen) == 4
 
+    def test_on_record_abort_stops_inline_run(self, problem, monkeypatch):
+        # run_suite's fail-fast relies on this: inline, a raising
+        # on_record ends the run before the next task starts.
+        from repro.engine import runner as runner_mod
+
+        started = []
+        real = runner_mod.execute_task
+
+        def counting(task, *args, **kwargs):
+            started.append((task.spec_index, task.seed_index))
+            return real(task, *args, **kwargs)
+
+        def abort(record):
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(runner_mod, "execute_task", counting)
+        with pytest.raises(RuntimeError, match="stop"):
+            PortfolioRunner(FAST_SPECS, num_seeds=2, jobs=1, seed=0).run(
+                problem, on_record=abort
+            )
+        assert started == [(0, 0)]
+
+    def test_inline_run_never_advances_caller_seeds(self, problem):
+        rngs = np.random.default_rng(4).spawn(len(FAST_SPECS) * 2)
+        grid = [rngs[0:2], rngs[2:4]]
+        before = [rng.bit_generator.state for rng in rngs]
+        runner = PortfolioRunner(FAST_SPECS, num_seeds=2, jobs=1)
+        first = runner.run(problem, seed_grid=grid)
+        assert [rng.bit_generator.state for rng in rngs] == before
+        again = runner.run(problem, seed_grid=grid)
+        for a, b in zip(first.records, again.records):
+            assert np.array_equal(a.assignment, b.assignment)
+
     def test_runner_validation(self):
         with pytest.raises(ConfigurationError):
             PortfolioRunner([], num_seeds=1)

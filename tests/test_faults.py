@@ -88,13 +88,6 @@ class TestFaultGrammar:
         with pytest.raises(ConfigurationError):
             FaultInjector.parse(bad)
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert FaultInjector.from_env() is None
-        monkeypatch.setenv("REPRO_FAULTS", "crash@0,0,1")
-        inj = FaultInjector.from_env()
-        assert inj and inj.faults[0].kind == "crash"
-
     def test_describe(self):
         assert FaultInjector.parse("hang@*,0,1,2").faults[0].describe() == (
             "hang@*,0,1 (2s)"
@@ -296,6 +289,34 @@ class TestDeadlineAttribution:
             assert "cancelled" in rec.error
             assert "never scheduled" in rec.error
             assert "waited" in rec.error
+
+    def test_inline_deadline_mid_run_leaves_rest_never_scheduled(
+        self, problem
+    ):
+        # The inline pool takes one task at a time, so the tasks behind a
+        # slow one are still waiting when the deadline passes.
+        result = runner_for(
+            problem, jobs=1, deadline=0.2, faults="hang@0,0,1,0.5"
+        ).run(problem)
+        first, second = result.records
+        assert first.ok
+        assert second.error_kind == "cancelled"
+        assert "never scheduled" in second.error
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retry_cut_off_by_deadline_keeps_last_error(self, problem, jobs):
+        # The 2s backoff outlasts the 1s deadline: the retry is given up
+        # at once and the record keeps the error it would have retried.
+        result = PortfolioRunner(
+            FAST_SPECS, jobs=jobs, seed=0, deadline=1.0,
+            retry=RetryPolicy(max_attempts=2, backoff=2.0),
+            faults=FaultInjector.parse("fail@0,0,1"),
+        ).run(problem)
+        rec = result.records[0]
+        assert rec.error_kind == "transient"
+        assert rec.attempts == 1
+        assert any("retry abandoned" in n for n in rec.fault_trace)
+        assert "never scheduled" not in rec.error
 
 
 class TestReportSchemaV3:

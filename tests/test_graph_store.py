@@ -27,12 +27,7 @@ from repro.engine import (
 )
 from repro.graph import weighted_caveman_graph
 from repro.graph.graph import Graph
-from repro.graph.store import (
-    SEGMENT_PREFIX,
-    GraphHandle,
-    GraphStore,
-    pickled_graph_bytes,
-)
+from repro.graph.store import SEGMENT_PREFIX, GraphHandle, GraphStore
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 SHM_DIR = Path("/dev/shm")
@@ -79,10 +74,10 @@ class TestHandle:
             assert store.handle.payload_bytes() == len(
                 pickle.dumps(store.handle)
             )
-        assert pickled_graph_bytes(graph) >= (
-            graph.indptr.nbytes + graph.indices.nbytes
-            + graph.weights.nbytes + graph.vertex_weights.nbytes
-        )
+            assert store.handle.total_nbytes() == (
+                graph.indptr.nbytes + graph.indices.nbytes
+                + graph.weights.nbytes + graph.vertex_weights.nbytes
+            )
 
     def test_round_trip_preserves_arrays(self, graph):
         with GraphStore.create(graph) as store:
@@ -146,9 +141,10 @@ class TestLifecycle:
         assert _strays() == before
 
     def test_attach_sends_the_tracker_nothing(self, graph, monkeypatch):
-        """Attachers never own a segment, so they must not talk to the
-        resource tracker at all: forked workers share one tracker, and
-        interleaved register/unregister pairs crash it with a KeyError."""
+        """Neither the creator nor attachers talk to the resource
+        tracker: forked workers share one tracker, interleaved
+        register/unregister pairs crash it with a KeyError, and the
+        owner's lifecycle already unlinks every segment."""
         from multiprocessing import resource_tracker
 
         calls = []
@@ -158,10 +154,9 @@ class TestLifecycle:
                 lambda *args, _name=name: calls.append((_name, args)),
             )
         with GraphStore.create(graph) as store:
-            calls.clear()
             attached = GraphStore.attach(store.handle).graph()
             assert np.array_equal(attached.weights, graph.weights)
-            assert calls == []
+        assert calls == []
 
     def test_cross_process_attach_no_leak_warnings(self, graph):
         before = _strays()
@@ -251,6 +246,17 @@ class TestEngineLifecycle:
         assert _strays() == before
 
 
+    def test_pool_run_starts_no_resource_tracker(self):
+        proc = _run_py(_portfolio_code(
+            "runner = PortfolioRunner(specs, num_seeds=2, jobs=2, seed=11)"
+        ) + (
+            "from multiprocessing import resource_tracker\n"
+            "print(resource_tracker._resource_tracker._pid)\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["4", "None"]
+
+
 class TestTransportRecords:
     def test_pool_records_stamp_shm_transport(self):
         problem = PartitionProblem(weighted_caveman_graph(4, 6), k=4)
@@ -263,26 +269,15 @@ class TestTransportRecords:
             assert 0 < rec.payload_bytes < 1024
             assert rec.as_dict()["graph_transport"] == "shm"
 
-    def test_inprocess_records_stamp_pickle_transport(self):
+    def test_inline_records_stamp_inline_transport(self):
         problem = PartitionProblem(weighted_caveman_graph(4, 6), k=4)
         runner = PortfolioRunner(
             [SolverSpec("multilevel")], num_seeds=2, jobs=1, seed=11
         )
         result = runner.run(problem)
-        expected = pickled_graph_bytes(problem.graph)
         for rec in result.records:
-            assert rec.graph_transport == "pickle"
-            assert rec.payload_bytes == expected
-
-    def test_forced_pickle_transport_on_pool(self):
-        problem = PartitionProblem(weighted_caveman_graph(4, 6), k=4)
-        runner = PortfolioRunner(
-            [SolverSpec("multilevel")], num_seeds=2, jobs=2, seed=11,
-            graph_transport="pickle",
-        )
-        result = runner.run(problem)
-        for rec in result.records:
-            assert rec.graph_transport == "pickle"
+            assert rec.graph_transport == "inline"
+            assert rec.payload_bytes == 0
 
     def test_transport_does_not_change_results(self):
         problem = PartitionProblem(weighted_caveman_graph(4, 6), k=4)
@@ -295,13 +290,16 @@ class TestTransportRecords:
             num_seeds=2, jobs=2, seed=11,
         ).run(problem)
         for a, b in zip(base.records, shm.records):
-            assert (a.graph_transport, b.graph_transport) == ("pickle", "shm")
+            assert (a.graph_transport, b.graph_transport) == ("inline", "shm")
+            assert a.payload_bytes == 0 < b.payload_bytes
             assert a.objective == b.objective
             assert np.array_equal(a.assignment, b.assignment)
 
     def test_invalid_transport_rejected(self):
         from repro.common.exceptions import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            PortfolioRunner(
-                [SolverSpec("multilevel")], graph_transport="carrier-pigeon"
-            )
+        PortfolioRunner([SolverSpec("multilevel")], graph_transport="shm")
+        for transport in ("carrier-pigeon", "pickle", "auto"):
+            with pytest.raises(ConfigurationError):
+                PortfolioRunner(
+                    [SolverSpec("multilevel")], graph_transport=transport
+                )

@@ -18,6 +18,7 @@ from repro.api import (
 from repro.common.exceptions import CheckpointError, ConfigurationError
 from repro.engine import PartitionProblem, PortfolioRunner, SolverSpec
 from repro.graph import weighted_caveman_graph
+from repro.workloads import build_instance
 
 ITERATIVE = ["annealing", "ant-colony", "fusion-fission"]
 #: solver options keeping each family's full run small enough to test
@@ -144,6 +145,27 @@ class TestParallelMode:
         assert serial.objective == parallel.objective
         assert np.array_equal(
             serial.partition.assignment, parallel.partition.assignment
+        )
+
+    @pytest.mark.parametrize("method", ITERATIVE)
+    def test_island_jobs_on_float_weights(self, method):
+        """With float weights a resumed island's objective may drift in
+        the last digits, so the claim is scoped: same partition,
+        objective equal to rounding."""
+        graph = build_instance("geometric-150")
+        serial, parallel = (
+            solve(
+                graph, 8, method=method, seed=3, islands=2,
+                migration_interval=3, island_jobs=jobs,
+                budget=Budget(max_iterations=15),
+            )
+            for jobs in (1, 2)
+        )
+        assert np.array_equal(
+            serial.partition.assignment, parallel.partition.assignment
+        )
+        assert parallel.objective_value == pytest.approx(
+            serial.objective_value, rel=1e-12
         )
 
 
