@@ -22,7 +22,8 @@ Moves that would empty a part are rejected outright so ``k`` stays fixed
 The loop lives in :class:`AnnealRun`, a resumable stepper: one
 :meth:`AnnealRun.step` is one iteration of the annealing loop, and its
 state serialises/restores for the :mod:`repro.api` checkpoint
-machinery.  The annealing session drives it; tests may step it directly.
+machinery.  A session drives it through :meth:`AnnealRun.advance`;
+tests may step it directly.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class AnnealRun:
     :meth:`Objective.delta_move`; a full re-evaluation never happens
     inside the loop (no per-step O(n) work).
     """
+
+    #: Annealing moves per session iteration, so events, budget checks
+    #: and checkpoints land every few hundred cheap moves instead of on
+    #: every vertex move.
+    chunk = 256
 
     def __init__(
         self,
@@ -206,6 +212,26 @@ class AnnealRun:
                 self.t *= self.ratio
         return True
 
+    # -- the session's stepper interface (see repro.api.session) -----------
+    def advance(self) -> bool:
+        """One session iteration: up to :attr:`chunk` moves."""
+        for _ in range(self.chunk):
+            if not self.step():
+                return False
+        return True
+
+    def best_partition(self) -> Partition:
+        return self.best
+
+    def best_objective(self) -> float:
+        return self.best_energy
+
+    def progress_payload(self) -> dict:
+        return {"temperature": self.t, "moves": self.steps}
+
+    def close(self) -> None:
+        """Nothing to release."""
+
     def adopt_incumbent(self, partition: Partition, energy: float) -> None:
         """Adopt a migrated incumbent (island model): continue the walk
         from the donated solution.
@@ -251,75 +277,6 @@ class AnnealRun:
         self.finished = bool(state["finished"])
 
 
-class AnnealingSession(SolveSession):
-    """Run session for :class:`SimulatedAnnealingPartitioner`.
-
-    One session iteration = up to :attr:`chunk` annealing moves, so
-    events, budget checks and checkpoints land every few hundred cheap
-    inner steps instead of on every vertex move.
-    """
-
-    chunk = 256
-
-    def _setup(self) -> None:
-        from repro.percolation.percolation import PercolationPartitioner
-
-        self._set_phase("percolation-init")
-        start = PercolationPartitioner(k=self.request.k).partition(
-            self.request.graph, seed=self.rng
-        )
-        self._run = self._make_run(start)
-        self._set_phase("anneal")
-
-    def _make_run(self, partition: Partition) -> AnnealRun:
-        solver: SimulatedAnnealingPartitioner = self.solver
-        return AnnealRun(
-            partition,
-            objective=self.request.objective or solver.objective,
-            tmax=solver.tmax,
-            tmin=solver.tmin,
-            cooling_ratio=solver.cooling_ratio,
-            equilibrium_refusals=solver.equilibrium_refusals,
-            max_steps=solver.max_steps,
-            time_budget=solver.time_budget,
-            seed=self.rng,
-            on_improvement=lambda energy, best: self._incumbent_improved(
-                energy, num_parts=best.num_parts
-            ),
-        )
-
-    def _advance(self) -> bool:
-        for _ in range(self.chunk):
-            if not self._run.step():
-                return False
-        return True
-
-    #: set by ``_setup``/``_restore_state``; None only mid-construction
-    _run: AnnealRun | None = None
-
-    def _best_partition(self) -> Partition | None:
-        return self._run.best if self._run is not None else None
-
-    def _best_objective(self) -> float | None:
-        return self._run.best_energy if self._run is not None else None
-
-    def _progress_payload(self) -> dict:
-        return {"temperature": self._run.t, "moves": self._run.steps}
-
-    def _export_state(self) -> dict:
-        return self._run.export_state()
-
-    def _restore_state(self, state: dict) -> None:
-        # Placeholder partition: restore_state overwrites every field.
-        placeholder = Partition(
-            self.request.graph,
-            np.asarray(state["assignment"], dtype=np.int64),
-        )
-        self._run = self._make_run(placeholder)
-        self._run.restore_state(self.request.graph, state)
-        self.phase = "anneal"
-
-
 @dataclass
 class SimulatedAnnealingPartitioner:
     """Table 1's "Simulated annealing" row.
@@ -353,6 +310,42 @@ class SimulatedAnnealingPartitioner:
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> AnnealingSession:
+    ) -> SolveSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return AnnealingSession(self, request, checkpoint)
+        return SolveSession(self, request, checkpoint)
+
+    def stepper(
+        self, session: SolveSession, state: dict | None = None
+    ) -> AnnealRun:
+        """A fresh :class:`AnnealRun` from the percolation partition on
+        ``session.rng``, or one restored from a checkpoint ``state``."""
+        graph = session.request.graph
+        if state is None:
+            from repro.percolation.percolation import PercolationPartitioner
+
+            session._set_phase("percolation-init")
+            start = PercolationPartitioner(k=session.request.k).partition(
+                graph, seed=session.rng
+            )
+        else:
+            # Placeholder partition: restore_state overwrites every field.
+            start = Partition(
+                graph, np.asarray(state["assignment"], dtype=np.int64)
+            )
+        run = AnnealRun(
+            start,
+            objective=session.request.objective or self.objective,
+            tmax=self.tmax,
+            tmin=self.tmin,
+            cooling_ratio=self.cooling_ratio,
+            equilibrium_refusals=self.equilibrium_refusals,
+            max_steps=self.max_steps,
+            time_budget=self.time_budget,
+            seed=session.rng,
+            on_improvement=session._incumbent_improved,
+        )
+        if state is None:
+            session._set_phase("anneal")
+        else:
+            run.restore_state(graph, state)
+        return run

@@ -21,8 +21,8 @@ of parts is not forced, exactly as the paper stresses.
 The loop lives in :class:`AntColonyRun`, a resumable stepper (one
 :meth:`AntColonyRun.step` = one colony iteration) whose state —
 pheromone field, territories, incumbent — serialises for the
-:mod:`repro.api` checkpoint machinery.  The ant-colony session drives
-it; tests may step it directly.
+:mod:`repro.api` checkpoint machinery.  A session drives it through
+:meth:`AntColonyRun.advance`; tests may step it directly.
 """
 
 from __future__ import annotations
@@ -278,6 +278,24 @@ class AntColonyRun:
         self.it += 1
         return self.it < self.iterations
 
+    # -- the session's stepper interface (see repro.api.session) -----------
+    def advance(self) -> bool:
+        """One session iteration = one colony iteration (each dispatches
+        ``k × num_ants`` ant walks — already a substantial work unit)."""
+        return self.step()
+
+    def best_partition(self) -> Partition:
+        return self.best
+
+    def best_objective(self) -> float:
+        return self.best_energy
+
+    def progress_payload(self) -> dict:
+        return {"colony_iteration": self.it}
+
+    def close(self) -> None:
+        """Nothing to release."""
+
     def adopt_incumbent(self, partition: Partition, energy: float) -> None:
         """Adopt a migrated incumbent (island model).
 
@@ -323,74 +341,6 @@ class AntColonyRun:
         self.best_energy = float(state["best_energy"])
 
 
-class AntColonySession(SolveSession):
-    """Run session for :class:`AntColonyPartitioner`.
-
-    One session iteration = one colony iteration (each dispatches
-    ``k × num_ants`` ant walks — already a substantial work unit)."""
-
-    #: set by ``_setup``/``_restore_state``; None only mid-construction
-    _run: AntColonyRun | None = None
-
-    def _setup(self) -> None:
-        self._set_phase("percolation-init")
-        self._run = self._make_run()
-        self._set_phase("colonies")
-
-    def _make_run(
-        self, initial_partition: Partition | None = None
-    ) -> AntColonyRun:
-        solver: AntColonyPartitioner = self.solver
-        return AntColonyRun(
-            self.request.graph,
-            self.request.k,
-            objective=self.request.objective or solver.objective,
-            num_ants=solver.num_ants,
-            walk_length=solver.walk_length,
-            evaporation=solver.evaporation,
-            deposit=solver.deposit,
-            reinforcement=solver.reinforcement,
-            exploration_bonus=solver.exploration_bonus,
-            pheromone_power=solver.pheromone_power,
-            heuristic_power=solver.heuristic_power,
-            iterations=solver.iterations,
-            daemon_moves=solver.daemon_moves,
-            time_budget=solver.time_budget,
-            seed=self.rng,
-            initial_partition=initial_partition,
-            on_improvement=lambda energy, best: self._incumbent_improved(
-                energy, num_parts=best.num_parts
-            ),
-        )
-
-    def _advance(self) -> bool:
-        return self._run.step()
-
-    def _best_partition(self) -> Partition | None:
-        return self._run.best if self._run is not None else None
-
-    def _best_objective(self) -> float | None:
-        return self._run.best_energy if self._run is not None else None
-
-    def _progress_payload(self) -> dict:
-        return {"colony_iteration": self._run.it}
-
-    def _export_state(self) -> dict:
-        return self._run.export_state()
-
-    def _restore_state(self, state: dict) -> None:
-        # The placeholder skips the constructor's percolation init, so
-        # the restored rng stream is not perturbed before restore_state
-        # overwrites every field.
-        placeholder = Partition(
-            self.request.graph,
-            np.asarray(state["fallback"], dtype=np.int64),
-        )
-        self._run = self._make_run(initial_partition=placeholder)
-        self._run.restore_state(state)
-        self.phase = "colonies"
-
-
 @dataclass
 class AntColonyPartitioner:
     """Table 1's "Ant colony" row — runs :class:`AntColonyRun` with the
@@ -418,6 +368,48 @@ class AntColonyPartitioner:
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> AntColonySession:
+    ) -> SolveSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return AntColonySession(self, request, checkpoint)
+        return SolveSession(self, request, checkpoint)
+
+    def stepper(
+        self, session: SolveSession, state: dict | None = None
+    ) -> AntColonyRun:
+        """A fresh :class:`AntColonyRun` (territories seeded by
+        percolation on ``session.rng``), or one restored from a
+        checkpoint ``state``."""
+        request = session.request
+        initial = None
+        if state is None:
+            session._set_phase("percolation-init")
+        else:
+            # The placeholder skips the constructor's percolation init, so
+            # the restored rng stream is not perturbed before
+            # restore_state overwrites every field.
+            initial = Partition(
+                request.graph, np.asarray(state["fallback"], dtype=np.int64)
+            )
+        run = AntColonyRun(
+            request.graph,
+            request.k,
+            objective=request.objective or self.objective,
+            num_ants=self.num_ants,
+            walk_length=self.walk_length,
+            evaporation=self.evaporation,
+            deposit=self.deposit,
+            reinforcement=self.reinforcement,
+            exploration_bonus=self.exploration_bonus,
+            pheromone_power=self.pheromone_power,
+            heuristic_power=self.heuristic_power,
+            iterations=self.iterations,
+            daemon_moves=self.daemon_moves,
+            time_budget=self.time_budget,
+            seed=session.rng,
+            initial_partition=initial,
+            on_improvement=session._incumbent_improved,
+        )
+        if state is None:
+            session._set_phase("colonies")
+        else:
+            run.restore_state(state)
+        return run

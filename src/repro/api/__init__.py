@@ -68,7 +68,6 @@ from repro.api.request import (
 )
 from repro.api.session import (
     CHECKPOINT_SCHEMA,
-    OneShotSession,
     SolveSession,
     decode_rng,
     encode_rng,
@@ -81,7 +80,6 @@ __all__ = [
     "SolveSession",
     "SolveEvent",
     "Budget",
-    "OneShotSession",
     "IslandGroup",
     "JsonlEventWriter",
     "solve",

@@ -26,8 +26,9 @@ class Solver(Protocol):
     """The one protocol every partitioner family implements.
 
     ``start`` opens a :class:`~repro.api.session.SolveSession` for a
-    request (optionally resuming a checkpoint); ``name`` is the
-    canonical registry name.
+    request (optionally resuming a checkpoint); the session gets the
+    object it drives from ``stepper`` (see :mod:`repro.api.session`);
+    ``name`` is the canonical registry name.
     """
 
     name: str
@@ -35,6 +36,11 @@ class Solver(Protocol):
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
     ) -> SolveSession:
+        ...
+
+    def stepper(
+        self, session: SolveSession, state: dict | None = None
+    ) -> Any:
         ...
 
 

@@ -1,9 +1,10 @@
 """Island-model execution of iterative solve sessions.
 
-An :class:`IslandGroup` turns one :class:`~repro.api.session.SolveSession`
-into N independent *islands* — child sessions of the same solver, each
-seeded from its own ``SeedSequence.spawn`` lineage — that evolve in
-rounds.  One parent session iteration is one round: every running island
+An :class:`IslandGroup` is the stepper of an ``islands > 1``
+:class:`~repro.api.session.SolveSession`: it runs N independent
+*islands* — child sessions of the same solver, each seeded from its own
+``SeedSequence.spawn`` lineage — that evolve in rounds.  One parent
+session iteration is one round: every running island
 advances ``migration_interval`` of its own iterations, newly found
 incumbents are surfaced as parent ``incumbent`` events (tagged with the
 island that found them), and the islands then trade incumbents around a
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.exceptions import CheckpointError
 from repro.common.rng import spawn_rngs
-from repro.api.events import EVENT_MIGRATION
+from repro.api.events import EVENT_INCUMBENT, EVENT_MIGRATION
 from repro.api.request import (
     STATUS_RUNNING,
     Budget,
@@ -77,30 +78,45 @@ def _island_step(
 class IslandGroup:
     """N child sessions evolving one request, with ring migration.
 
-    Build with :meth:`create` (fresh) or :meth:`restore` (from the
-    ``state`` block of an island checkpoint); the parent session routes
-    its ``advance``/``best``/``checkpoint`` hooks here whenever
-    ``request.islands > 1``.
+    The parent session builds it as its stepper: fresh (``state=None``,
+    children spawned off the parent rng) or restored from the ``state``
+    block of an island checkpoint.
     """
 
-    def __init__(
-        self,
-        parent: "SolveSession",
-        children: list["SolveSession"],
-        interval: int,
-        jobs: int,
-    ) -> None:
+    def __init__(self, parent: "SolveSession", state: dict | None) -> None:
         self.parent = parent
-        self.children = children
-        self.interval = interval
-        self.jobs = jobs
+        request = parent.request
+        self.interval = request.migration_interval
+        self.jobs = request.island_jobs
         self.rounds = 0
         #: Best objective ever seen across islands (parent incumbent
         #: events fire on strict improvements of this).
         self.tracked_best: float | None = None
         self._pool: GraphPool | None = None
+        if state is None:
+            # Child seeds come from ``parent.rng.spawn`` — recorded in the
+            # parent's encoded rng state (``n_children_spawned``), so a
+            # checkpointed parent never re-spawns overlapping lineages.
+            parent.phase = "islands"
+            seeds = spawn_rngs(parent.rng, request.islands)
+            self.children = [self._start_child(rng) for rng in seeds]
+            return
+        children_state = state.get("children")
+        if not isinstance(children_state, list):
+            children_state = []
+        if len(children_state) != request.islands:
+            raise CheckpointError(
+                f"island checkpoint carries {len(children_state)} children, "
+                f"the request asks for islands={request.islands}"
+            )
+        # A restored child's rng is authoritative, so it needs no seed.
+        self.children = [
+            self._start_child(None, child) for child in children_state
+        ]
+        self.rounds = int(state.get("rounds", 0))
+        tracked = state.get("tracked_best")
+        self.tracked_best = None if tracked is None else float(tracked)
 
-    # -- construction ------------------------------------------------------
     @staticmethod
     def _child_request_args(request: SolveRequest) -> dict:
         """Child-request kwargs (everything but graph and seed).
@@ -119,67 +135,16 @@ class IslandGroup:
             "islands": 1,
         }
 
-    @classmethod
-    def create(cls, parent: "SolveSession") -> "IslandGroup":
-        """Spawn ``request.islands`` fresh children off the parent rng.
-
-        Child seeds come from ``parent.rng.spawn`` — recorded in the
-        parent's encoded rng state (``n_children_spawned``), so a
-        checkpointed parent never re-spawns overlapping lineages.
-        """
-        request = parent.request
-        children: list["SolveSession"] = []
-        for rng in spawn_rngs(parent.rng, request.islands):
-            child_request = SolveRequest(
-                graph=request.graph,
-                seed=rng,
-                **cls._child_request_args(request),
-            )
-            children.append(parent.solver.start(child_request))
-        return cls(
-            parent,
-            children,
-            interval=request.migration_interval,
-            jobs=request.island_jobs,
+    def _start_child(
+        self, seed: Any, checkpoint: dict | None = None
+    ) -> "SolveSession":
+        request = self.parent.request
+        child_request = SolveRequest(
+            graph=request.graph,
+            seed=seed,
+            **self._child_request_args(request),
         )
-
-    @classmethod
-    def restore(cls, parent: "SolveSession", state: dict) -> "IslandGroup":
-        """Rebuild the group from :meth:`export_state` output."""
-        request = parent.request
-        children_state = state.get("children")
-        if (
-            not isinstance(children_state, list)
-            or len(children_state) != request.islands
-        ):
-            found = (
-                len(children_state)
-                if isinstance(children_state, list) else "no"
-            )
-            raise CheckpointError(
-                f"island checkpoint carries {found} children, the request "
-                f"asks for islands={request.islands}"
-            )
-        children = []
-        for child_checkpoint in children_state:
-            child_request = SolveRequest(
-                graph=request.graph,
-                seed=None,  # the child's restored rng is authoritative
-                **cls._child_request_args(request),
-            )
-            children.append(
-                parent.solver.start(child_request, checkpoint=child_checkpoint)
-            )
-        group = cls(
-            parent,
-            children,
-            interval=request.migration_interval,
-            jobs=request.island_jobs,
-        )
-        group.rounds = int(state.get("rounds", 0))
-        tracked = state.get("tracked_best")
-        group.tracked_best = None if tracked is None else float(tracked)
-        return group
+        return self.parent.solver.start(child_request, checkpoint=checkpoint)
 
     # -- one parent iteration ----------------------------------------------
     def advance(self) -> bool:
@@ -198,13 +163,11 @@ class IslandGroup:
             round=self.rounds,
             interval=self.interval,
             ring=[
-                child._best_objective() for child in self.children
+                child.stepper.best_objective() for child in self.children
             ],
             adopted=adopted,
         )
-        more = any(
-            child.status == STATUS_RUNNING for child in self.children
-        )
+        more = self._running_count() > 0
         if not more:
             self.close()
         return more
@@ -243,13 +206,7 @@ class IslandGroup:
         # whole state, so this round matches the serial mode (bit for
         # bit on integral weights; see the module docstring).
         for i, future in futures.items():
-            advanced = future.result()
-            child_request = SolveRequest(
-                graph=request.graph, seed=None, **request_args
-            )
-            self.children[i] = self.parent.solver.start(
-                child_request, checkpoint=advanced
-            )
+            self.children[i] = self._start_child(None, future.result())
 
     # -- incumbents & migration --------------------------------------------
     def _scan_incumbents(self) -> None:
@@ -257,7 +214,7 @@ class IslandGroup:
         beats everything seen before (scan order = island order, so the
         stream is independent of execution mode)."""
         for i, child in enumerate(self.children):
-            objective = child._best_objective()
+            objective = child.stepper.best_objective()
             if objective is None:
                 continue
             if (
@@ -265,7 +222,9 @@ class IslandGroup:
                 or objective < self.tracked_best - _EPS
             ):
                 self.tracked_best = float(objective)
-                self.parent._incumbent_improved(float(objective), island=i)
+                self.parent._emit(
+                    EVENT_INCUMBENT, objective=self.tracked_best, island=i
+                )
 
     def _migrate(self) -> list[int]:
         """Ring migration over a simultaneous snapshot of island bests.
@@ -279,7 +238,7 @@ class IslandGroup:
         if n < 2:
             return []
         snapshot: list[tuple[float | None, "Partition | None"]] = [
-            (child._best_objective(), child._best_partition())
+            (child.stepper.best_objective(), child.stepper.best_partition())
             for child in self.children
         ]
         adopted = []
@@ -291,7 +250,9 @@ class IslandGroup:
                 continue
             mine = snapshot[i][0]
             if mine is None or donor_objective < mine - _EPS:
-                child._adopt_incumbent(donor_partition, donor_objective)
+                child.stepper.adopt_incumbent(
+                    donor_partition, donor_objective
+                )
                 adopted.append(i)
         return adopted
 
@@ -301,10 +262,10 @@ class IslandGroup:
         winner = None
         winner_objective = math.inf
         for child in self.children:
-            partition = child._best_partition()
+            partition = child.stepper.best_partition()
             if partition is None:
                 continue
-            objective = child._best_objective()
+            objective = child.stepper.best_objective()
             objective = math.inf if objective is None else float(objective)
             if winner is None or objective < winner_objective:
                 winner = child
@@ -313,11 +274,11 @@ class IslandGroup:
 
     def best_partition(self) -> "Partition | None":
         winner = self._winner()
-        return winner._best_partition() if winner is not None else None
+        return winner.stepper.best_partition() if winner else None
 
     def best_objective(self) -> float | None:
         winner = self._winner()
-        return winner._best_objective() if winner is not None else None
+        return winner.stepper.best_objective() if winner else None
 
     def progress_payload(self) -> dict:
         return {

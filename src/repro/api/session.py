@@ -1,12 +1,38 @@
-"""Run sessions: stepping, events, budgets, checkpoint/resume.
+"""Run sessions: one class drives every solve.
 
 A :class:`SolveSession` is the live execution of one
 :class:`~repro.api.request.SolveRequest` by one solver.  It is created by
-``solver.start(request)`` and drives the solver's stepper through
-:meth:`step`/:meth:`run`, emitting :class:`~repro.api.events.SolveEvent`
-records to registered observers, honouring wall-clock/iteration budgets
-with cooperative pause semantics, and serialising its full state into a
-JSON checkpoint that :func:`repro.api.resume` restores deterministically.
+``solver.start(request)`` and drives one *stepper* through
+:meth:`~SolveSession.step`/:meth:`~SolveSession.run`, emitting
+:class:`~repro.api.events.SolveEvent` records to registered observers,
+honouring wall-clock/iteration budgets with cooperative pause semantics,
+and serialising its full state into a JSON checkpoint that
+:func:`repro.api.resume` restores deterministically.
+
+Steppers
+--------
+The session gets its stepper from the solver's one factory,
+``solver.stepper(session, state)``: with ``state=None`` it builds a
+fresh stepper whose every random draw goes through ``session.rng``
+(announcing setup phases through ``session._set_phase``); otherwise it
+restores one from the ``state`` block of a checkpoint.  Either way it
+wires ``session._incumbent_improved`` as the improvement callback.  An
+``islands > 1`` session drives an :class:`~repro.api.islands.IslandGroup`
+instead.  A stepper implements:
+
+* ``advance() -> bool`` — one session iteration; True while work remains;
+* ``best_partition()`` / ``best_objective()`` — the best-known partition
+  and its objective, or None (a report then evaluates the partition);
+* ``progress_payload() -> dict`` — extras for ``iteration`` events;
+* ``export_state() -> dict`` — JSON-serialisable state (the session
+  stores the rng);
+* ``close()`` — release resources once the session stops;
+* ``adopt_incumbent(partition, objective)`` — island children only:
+  continue from a migrated incumbent.
+
+The iterative families' loop classes (``AnnealRun``, ``AntColonyRun``,
+``FusionFissionRun``) are their steppers; :class:`OneShotStepper` runs
+the direct constructions (linear, spectral, multilevel, percolation).
 
 Determinism contract
 --------------------
@@ -33,7 +59,6 @@ time, so ``Budget(max_seconds=10)`` spans resumes too.
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from typing import Any, Callable
 
 import numpy as np
@@ -45,6 +70,7 @@ from repro.common.exceptions import (
 )
 from repro.common.rng import ensure_rng
 from repro.common.timer import Deadline, Ticker
+from repro.graph.fingerprint import graph_fingerprint
 from repro.api.events import (
     EVENT_CHECKPOINT,
     EVENT_DONE,
@@ -68,7 +94,7 @@ from repro.partition.partition import Partition
 
 __all__ = [
     "SolveSession",
-    "OneShotSession",
+    "OneShotStepper",
     "CHECKPOINT_SCHEMA",
     "encode_rng",
     "decode_rng",
@@ -134,21 +160,19 @@ def decode_rng(state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-class SolveSession(ABC):
+class SolveSession:
     """One live solve: stepping, events, budgets, checkpointing.
 
-    Subclasses implement the five solver hooks (``_setup``, ``_advance``,
-    ``_export_state``, ``_restore_state``, ``_best_partition``) plus the
-    ``phase`` attribute; everything user-facing — :meth:`step`,
-    :meth:`run`, :meth:`subscribe`, :meth:`cancel`, :meth:`checkpoint`,
-    :meth:`report` — lives here and behaves identically across all six
-    solver families.
+    The session drives one stepper (see the module docstring) and owns
+    everything user-facing — :meth:`step`, :meth:`run`,
+    :meth:`subscribe`, :meth:`cancel`, :meth:`checkpoint`,
+    :meth:`report` — so every solver family behaves identically.
 
     Parameters
     ----------
     solver:
-        The solver that created this session (exposes ``name`` and the
-        configured hyper-parameters).
+        The solver that created this session (exposes ``name``, the
+        configured hyper-parameters and the ``stepper`` factory).
     request:
         The :class:`~repro.api.request.SolveRequest` being solved.
     checkpoint:
@@ -157,8 +181,10 @@ class SolveSession(ABC):
     """
 
     #: Human-readable name of the phase the solver is currently in;
-    #: subclasses update it through :meth:`_set_phase`.
+    #: steppers announce changes through :meth:`_set_phase`.
     phase: str = "setup"
+    #: The object :meth:`step` advances (None only while it is built).
+    stepper: Any = None
 
     def __init__(
         self,
@@ -177,11 +203,6 @@ class SolveSession(ABC):
         self._heartbeat = Ticker(request.heartbeat_interval)
         self._elapsed_offset = 0.0
         self._clock_start: float | None = time.perf_counter()
-        #: Island-model execution (``request.islands > 1``): the session's
-        #: advance/best/checkpoint hooks route through the group instead
-        #: of the family stepper.  ``islands=1`` never touches this, so
-        #: the sequential path is bit-identical to before the field.
-        self._islands = None
         if request.islands > 1 and not getattr(
             solver, "supports_islands", False
         ):
@@ -193,41 +214,18 @@ class SolveSession(ABC):
             )
         if checkpoint is None:
             self.rng = ensure_rng(request.seed)
-            if request.islands > 1:
-                from repro.api.islands import IslandGroup
-
-                self.phase = "islands"
-                self._islands = IslandGroup.create(self)
-            else:
-                self._setup()
+            self.stepper = self._build_stepper(None)
         else:
             self._load_checkpoint(checkpoint)
         self._clock_pause()
 
-    # -- solver hooks ------------------------------------------------------
-    @abstractmethod
-    def _setup(self) -> None:
-        """Build the initial solver state (fresh sessions only).
+    def _build_stepper(self, state: dict | None) -> Any:
+        """Fresh (``state=None``) or restored stepper for this request."""
+        if self.request.islands > 1:
+            from repro.api.islands import IslandGroup
 
-        Every random draw must go through ``self.rng`` so a checkpoint
-        (which stores that generator's state) replays the exact stream.
-        """
-
-    @abstractmethod
-    def _advance(self) -> bool:
-        """Perform one session iteration; return True while work remains."""
-
-    @abstractmethod
-    def _export_state(self) -> dict:
-        """JSON-serialisable solver state (everything but the rng)."""
-
-    @abstractmethod
-    def _restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`_export_state` against ``request.graph``."""
-
-    @abstractmethod
-    def _best_partition(self) -> Partition | None:
-        """Best-known partition, or ``None`` before one exists."""
+            return IslandGroup(self, state)
+        return self.solver.stepper(self, state)
 
     def _objective_name(self) -> str:
         """Criterion name reported for this session."""
@@ -236,43 +234,6 @@ class SolveSession(ABC):
             or getattr(self.solver, "objective", None)
             or "mcut"
         )
-
-    def _best_objective(self) -> float | None:
-        """Best-known objective value (hook; default: None until done)."""
-        return None
-
-    def _progress_payload(self) -> dict:
-        """Per-family extras attached to iteration events."""
-        return {}
-
-    def _adopt_incumbent(self, partition: Partition, objective: float) -> None:
-        """Adopt a migrated incumbent into the live solver state.
-
-        The island machinery calls this on a receiving island; the
-        default delegates to ``adopt_incumbent`` on the family stepper
-        (``self._run``), which every island-capable family implements.
-        """
-        run = getattr(self, "_run", None)
-        if run is None or not hasattr(run, "adopt_incumbent"):
-            raise ReproError(
-                f"session ({self.method}) cannot adopt a migrated incumbent"
-            )
-        run.adopt_incumbent(partition, objective)
-
-    # -- island routing ------------------------------------------------------
-    # With ``request.islands > 1`` the family hooks above were never set
-    # up — per-iteration work, bests and state live in the IslandGroup.
-    # These wrappers are the single indirection everything user-facing
-    # goes through.
-    def _routed_best_partition(self) -> Partition | None:
-        if self._islands is not None:
-            return self._islands.best_partition()
-        return self._best_partition()
-
-    def _routed_best_objective(self) -> float | None:
-        if self._islands is not None:
-            return self._islands.best_objective()
-        return self._best_objective()
 
     # -- observers & events ------------------------------------------------
     def subscribe(
@@ -290,8 +251,8 @@ class SolveSession(ABC):
     def _emit(
         self, type_: str, objective: float | None = None, **payload: Any
     ) -> None:
-        if objective is None:
-            objective = self._routed_best_objective()
+        if objective is None and self.stepper is not None:
+            objective = self.stepper.best_objective()
         event = SolveEvent(
             type=type_,
             iteration=self.iteration,
@@ -309,9 +270,11 @@ class SolveSession(ABC):
             self.phase = phase
             self._emit(EVENT_PHASE, phase=phase)
 
-    def _incumbent_improved(self, objective: float, **payload: Any) -> None:
-        """Solver steppers call this whenever the best solution improves."""
-        self._emit(EVENT_INCUMBENT, objective=objective, **payload)
+    def _incumbent_improved(self, objective: float, best: Partition) -> None:
+        """Stepper callback whenever the best solution improves."""
+        self._emit(
+            EVENT_INCUMBENT, objective=objective, num_parts=best.num_parts
+        )
 
     # -- time accounting ----------------------------------------------------
     def elapsed(self) -> float:
@@ -362,14 +325,9 @@ class SolveSession(ABC):
             return False
         self._clock_resume()
         try:
-            if self._islands is not None:
-                more = self._islands.advance()
-                payload = self._islands.progress_payload()
-            else:
-                more = self._advance()
-                payload = self._progress_payload()
+            more = self.stepper.advance()
             self.iteration += 1
-            self._emit(EVENT_ITERATION, **payload)
+            self._emit(EVENT_ITERATION, **self.stepper.progress_payload())
             # Liveness signal for supervisors (the portfolio runner's
             # straggler reaper treats silence past the task timeout as a
             # hang): at most one per heartbeat_interval of solve time.
@@ -381,8 +339,8 @@ class SolveSession(ABC):
                 self._emit(EVENT_DONE)
             elif self._cancelled:
                 self.status = STATUS_CANCELLED
-            if self._islands is not None and self.status != STATUS_RUNNING:
-                self._islands.close()
+            if self.status != STATUS_RUNNING:
+                self.stepper.close()
         finally:
             self._clock_pause()
         return self.status == STATUS_RUNNING
@@ -439,7 +397,7 @@ class SolveSession(ABC):
     @property
     def partition(self) -> Partition:
         """The best-known partition (raises before one exists)."""
-        best = self._routed_best_partition()
+        best = self.stepper.best_partition()
         if best is None:
             raise ReproError(
                 f"session ({self.method}) has no partition yet — "
@@ -449,9 +407,9 @@ class SolveSession(ABC):
 
     def report(self) -> SolveReport:
         """Snapshot the session into a :class:`SolveReport`."""
-        best = self._routed_best_partition()
+        best = self.stepper.best_partition()
         objective = self._objective_name()
-        value = self._routed_best_objective()
+        value = self.stepper.best_objective()
         metrics = None
         if best is not None:
             metrics = evaluate_partition(best)
@@ -475,9 +433,10 @@ class SolveSession(ABC):
 
         The dict (schema ``repro-solve-checkpoint/v1``) carries the
         method name and constructor options needed to rebuild the
-        solver, the exact rng state, and the solver's own state export —
-        ``json.dumps`` → ``json.loads`` → :func:`repro.api.resume`
-        continues the run deterministically.
+        solver, the graph's shape and content fingerprint (resume
+        refuses any other graph), the exact rng state, and the stepper's
+        state export — ``json.dumps`` → ``json.loads`` →
+        :func:`repro.api.resume` continues the run deterministically.
         """
         from repro import __version__
 
@@ -489,6 +448,7 @@ class SolveSession(ABC):
             "graph": {
                 "num_vertices": self.request.graph.num_vertices,
                 "num_edges": self.request.graph.num_edges,
+                "fingerprint": graph_fingerprint(self.request.graph),
             },
             "k": self.request.k,
             "objective": self.request.objective,
@@ -500,11 +460,7 @@ class SolveSession(ABC):
             "islands": self.request.islands,
             "migration_interval": self.request.migration_interval,
             "rng": encode_rng(self.rng),
-            "state": (
-                self._islands.export_state()
-                if self._islands is not None
-                else self._export_state()
-            ),
+            "state": self.stepper.export_state(),
         }
         self._emit(EVENT_CHECKPOINT)
         return payload
@@ -531,18 +487,26 @@ class SolveSession(ABC):
                 f"checkpoint is for k={checkpoint.get('k')}, "
                 f"request asks k={self.request.k}"
             )
-        fingerprint = checkpoint.get("graph")
-        if fingerprint is not None:
+        stamp = checkpoint.get("graph")
+        if stamp is not None:
             graph = self.request.graph
             if (
-                fingerprint.get("num_vertices") != graph.num_vertices
-                or fingerprint.get("num_edges") != graph.num_edges
+                stamp.get("num_vertices") != graph.num_vertices
+                or stamp.get("num_edges") != graph.num_edges
             ):
                 raise CheckpointError(
                     "checkpoint was taken on a different graph "
-                    f"(n={fingerprint.get('num_vertices')}, "
-                    f"m={fingerprint.get('num_edges')}; the request's has "
+                    f"(n={stamp.get('num_vertices')}, "
+                    f"m={stamp.get('num_edges')}; the request's has "
                     f"n={graph.num_vertices}, m={graph.num_edges})"
+                )
+            # Checkpoints written before the fingerprint existed keep
+            # only the (n, m) check above.
+            fingerprint = stamp.get("fingerprint")
+            if fingerprint not in (None, graph_fingerprint(graph)):
+                raise CheckpointError(
+                    "checkpoint was taken on a graph of the same shape but "
+                    f"different edges or weights (fingerprint {fingerprint})"
                 )
         islands = int(checkpoint.get("islands", 1) or 1)
         if islands != self.request.islands:
@@ -557,14 +521,7 @@ class SolveSession(ABC):
             self.status = str(checkpoint["status"])
             self._elapsed_offset = float(checkpoint.get("elapsed", 0.0))
             self.phase = str(checkpoint.get("phase", "setup"))
-            if islands > 1:
-                from repro.api.islands import IslandGroup
-
-                self._islands = IslandGroup.restore(
-                    self, checkpoint["state"]
-                )
-            else:
-                self._restore_state(checkpoint["state"])
+            self.stepper = self._build_stepper(checkpoint["state"])
         except CheckpointError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -595,8 +552,8 @@ def solver_options(solver: Any) -> dict:
     return options
 
 
-class OneShotSession(SolveSession):
-    """Session adapter for direct-construction solvers.
+class OneShotStepper:
+    """Stepper for direct-construction solvers.
 
     Linear, spectral, multilevel and percolation compute their partition
     in one piece — there is no inner loop to suspend.  The session runs
@@ -604,30 +561,43 @@ class OneShotSession(SolveSession):
     iteration captures only the rng state (resume recomputes the whole
     construction from it, bit-identically); a checkpoint taken after
     carries the finished assignment.  The construction itself is the
-    solver's ``partition(graph, seed)``.
+    solver's ``partition(graph, seed)``; such a solver declares
+    ``stepper = OneShotStepper`` as its factory.
     """
 
-    _result: Partition | None = None
+    def __init__(
+        self, session: SolveSession, state: dict | None = None
+    ) -> None:
+        # No reference back to the session: a one-shot session is freed
+        # by reference counting as soon as its caller drops it.
+        self.solver, self.graph = session.solver, session.request.graph
+        self.rng = session.rng
+        self.result: Partition | None = None
+        if state is None:
+            session._set_phase("construct")
+        elif state.get("assignment") is not None:
+            self.result = Partition(
+                self.graph, np.asarray(state["assignment"], dtype=np.int64)
+            )
 
-    def _setup(self) -> None:
-        self._set_phase("construct")
-
-    def _advance(self) -> bool:
-        self._result = self.solver.partition(self.request.graph, seed=self.rng)
+    def advance(self) -> bool:
+        self.result = self.solver.partition(self.graph, seed=self.rng)
         return False
 
-    def _best_partition(self) -> Partition | None:
-        return self._result
+    def best_partition(self) -> Partition | None:
+        return self.result
 
-    def _export_state(self) -> dict:
+    def best_objective(self) -> None:
+        return None
+
+    def progress_payload(self) -> dict:
+        return {}
+
+    def export_state(self) -> dict:
         assignment = None
-        if self._result is not None:
-            assignment = [int(p) for p in self._result.assignment]
+        if self.result is not None:
+            assignment = [int(p) for p in self.result.assignment]
         return {"assignment": assignment}
 
-    def _restore_state(self, state: dict) -> None:
-        assignment = state.get("assignment")
-        if assignment is not None:
-            self._result = Partition(
-                self.request.graph, np.asarray(assignment, dtype=np.int64)
-            )
+    def close(self) -> None:
+        """Nothing to release."""

@@ -3,7 +3,7 @@ returns good solutions from 27 to 38 partitions."
 
 A single fusion–fission run tracks the best raw objective at *every* part
 count it visits (:attr:`FusionFissionResult.best_by_k`, read from the
-finished session's :meth:`FusionFissionSession.result`); this module
+finished session stepper's :meth:`FusionFissionRun.finalize`); this module
 reports that profile around the target and compares each k against a
 fixed-k baseline (multilevel where k is a power of two, greedy otherwise).
 
@@ -39,7 +39,7 @@ def run_ksweep(
     )
     session = ff.start(SolveRequest(graph=graph, k=k, seed=seed))
     session.run()
-    return dict(sorted(session.result().best_by_k.items()))
+    return dict(sorted(session.stepper.finalize().best_by_k.items()))
 
 
 def format_ksweep(profile: dict[int, float], k: int, window: int = 6) -> str:

@@ -36,9 +36,9 @@ behaviour.
 The main loop itself lives in :class:`FusionFissionRun`, a resumable
 stepper (one :meth:`FusionFissionRun.step` = one Algorithm-1 step)
 whose full state — molecule, incumbents, law table, temperature —
-serialises for the :mod:`repro.api` checkpoint machinery.  The
-fusion–fission session drives it; tests and benchmarks may step it
-directly.
+serialises for the :mod:`repro.api` checkpoint machinery.  A session
+drives it through :meth:`FusionFissionRun.advance`; tests and
+benchmarks may step it directly.
 """
 
 from __future__ import annotations
@@ -268,7 +268,14 @@ class FusionFissionRun:
         Callback ``(raw_objective, partition)`` fired when the best
         molecule *at the target k* improves (sessions turn it into
         ``incumbent`` events).
+    on_phase:
+        Callback ``(phase)`` fired with ``"finalize"`` when
+        :meth:`advance` finds the loop stopped (sessions turn it into a
+        ``phase`` event).
     """
+
+    #: Main-loop steps per session iteration.
+    chunk = 32
 
     def __init__(
         self,
@@ -284,6 +291,7 @@ class FusionFissionRun:
         initial: Partition | None = None,
         on_improvement: Callable[[float, Partition], None] | None = None,
         init_cascade: str = "law",
+        on_phase: Callable[[str], None] | None = None,
     ) -> None:
         n = graph.num_vertices
         if not (2 <= k_target <= n):
@@ -303,6 +311,7 @@ class FusionFissionRun:
         self.ideal_size = n / k_target
         self.deadline = Deadline(time_budget)
         self.on_improvement = on_improvement
+        self.on_phase = on_phase
 
         if initial is None:
             initial = initialize_molecule(
@@ -396,6 +405,41 @@ class FusionFissionRun:
             self.t = self.schedule.initial()
             self.restarts += 1
         return True
+
+    # -- the session's stepper interface (see repro.api.session) -----------
+    def advance(self) -> bool:
+        """One session iteration: up to :attr:`chunk` steps; once the
+        loop stops, :meth:`finalize` runs and this returns False."""
+        for _ in range(self.chunk):
+            if not self.step():
+                if self.on_phase is not None:
+                    self.on_phase("finalize")
+                self.finalize()
+                return False
+        return True
+
+    def best_partition(self) -> Partition:
+        """Best molecule at the target k (the best at any k before one
+        exists; :meth:`finalize` coerces one)."""
+        if self.best_at_target is not None:
+            return self.best_at_target
+        return self.best
+
+    def best_objective(self) -> float | None:
+        if self.best_at_target is None:
+            return None
+        return self.best_raw_at_target
+
+    def progress_payload(self) -> dict:
+        return {
+            "ff_steps": self.steps,
+            "num_parts": self.current.num_parts,
+            "temperature": self.t,
+            "restarts": self.restarts,
+        }
+
+    def close(self) -> None:
+        """Nothing to release."""
 
     def adopt_incumbent(self, partition: Partition, raw: float) -> None:
         """Adopt a migrated incumbent (island model): the donated

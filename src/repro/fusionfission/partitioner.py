@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fusionfission.core import (
-    FusionFissionResult,
-    FusionFissionRun,
-    initialize_molecule,
-)
+import numpy as np
+
+from repro.fusionfission.core import FusionFissionRun, initialize_molecule
 from repro.fusionfission.energy import ScaledEnergy
 from repro.fusionfission.laws import LawTable
 from repro.fusionfission.temperature import TemperatureSchedule
@@ -26,130 +24,7 @@ from repro.partition.partition import Partition
 from repro.api.request import SolveRequest
 from repro.api.session import SolveSession
 
-import numpy as np
-
-__all__ = ["FusionFissionPartitioner", "FusionFissionSession"]
-
-
-class FusionFissionSession(SolveSession):
-    """Run session for :class:`FusionFissionPartitioner`.
-
-    Phases: ``initialize`` (Algorithm 2), ``search`` (Algorithm 1, one
-    session iteration = up to :attr:`chunk` main-loop steps), ``finalize``
-    (coercion to the target k when needed).  Incumbent events fire when
-    the best molecule *at the target k* improves, carrying its raw
-    objective — the same signal the Figure-1 harness samples.
-    """
-
-    chunk = 32
-
-    #: set by ``_setup``/``_restore_state``; None only mid-construction
-    _run: FusionFissionRun | None = None
-
-    def _setup(self) -> None:
-        solver: FusionFissionPartitioner = self.solver
-        graph, k = self.request.graph, self.request.k
-        objective = self.request.objective or solver.objective
-        self._result: FusionFissionResult | None = None
-        self._set_phase("initialize")
-        energy = solver._energy(graph, k=k, objective=objective)
-        laws = solver._laws(graph)
-        initial = initialize_molecule(
-            graph, k, laws, energy, seed=self.rng,
-            cascade=solver.init_cascade,
-        )
-        self._run = self._make_run(energy, laws, initial)
-        self._set_phase("search")
-
-    def _make_run(
-        self,
-        energy: ScaledEnergy,
-        laws: LawTable,
-        initial: Partition,
-    ) -> FusionFissionRun:
-        solver: FusionFissionPartitioner = self.solver
-        return FusionFissionRun(
-            self.request.graph,
-            self.request.k,
-            energy,
-            schedule=solver._schedule(),
-            laws=laws,
-            max_steps=solver.max_steps,
-            time_budget=solver.time_budget,
-            max_parts_factor=solver.max_parts_factor,
-            seed=self.rng,
-            initial=initial,
-            on_improvement=lambda raw, best: self._incumbent_improved(
-                raw, num_parts=best.num_parts
-            ),
-        )
-
-    def _advance(self) -> bool:
-        run = self._run
-        for _ in range(self.chunk):
-            if not run.step():
-                if self._result is None:
-                    self._set_phase("finalize")
-                    self._result = run.finalize()
-                return False
-        return True
-
-    def _best_partition(self) -> Partition | None:
-        if self._result is not None:
-            return self._result.best_at_target
-        run = self._run
-        if run is None:
-            return None
-        return run.best_at_target if run.best_at_target is not None else run.best
-
-    def _best_objective(self) -> float | None:
-        run = self._run
-        if run is None or run.best_at_target is None:
-            return None
-        return run.best_raw_at_target
-
-    def _progress_payload(self) -> dict:
-        run = self._run
-        return {
-            "ff_steps": run.steps,
-            "num_parts": run.current.num_parts,
-            "temperature": run.t,
-            "restarts": run.restarts,
-        }
-
-    def result(self) -> FusionFissionResult:
-        """The multi-k result object (finalizes a finished run)."""
-        if self._result is None:
-            self._result = self._run.finalize()
-        return self._result
-
-    def _export_state(self) -> dict:
-        return self._run.export_state()
-
-    def _restore_state(self, state: dict) -> None:
-        solver: FusionFissionPartitioner = self.solver
-        graph, k = self.request.graph, self.request.k
-        objective = self.request.objective or solver.objective
-        self._result = None
-        energy = solver._energy(graph, k=k, objective=objective)
-        laws = solver._laws(graph)
-        # The placeholder skips Algorithm 2 so the restored rng stream is
-        # untouched; restore_state then overwrites every field, and the
-        # incumbent hook is attached only afterwards so restoring never
-        # fires spurious events.
-        placeholder = Partition(
-            graph, np.asarray(state["current_assignment"], dtype=np.int64)
-        )
-        self._run = self._make_run(energy, laws, placeholder)
-        self._run.on_improvement = None
-        self._run.restore_state(state)
-        self._run.on_improvement = lambda raw, best: self._incumbent_improved(
-            raw, num_parts=best.num_parts
-        )
-        if self.status == "done":
-            self._result = self._run.finalize()
-        else:
-            self.phase = "search"
+__all__ = ["FusionFissionPartitioner"]
 
 
 @dataclass
@@ -160,8 +35,8 @@ class FusionFissionPartitioner:
     ----------
     k:
         Target number of atoms; the returned partition has exactly ``k``
-        parts (:meth:`FusionFissionSession.result` holds the full multi-k
-        result).
+        parts (the session stepper's :meth:`FusionFissionRun.finalize`
+        holds the full multi-k result).
     objective:
         Raw criterion being optimised (the ATC study uses ``"mcut"``).
     tmax, tmin, nbt, alpha_slope, alpha_offset:
@@ -238,6 +113,54 @@ class FusionFissionPartitioner:
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> FusionFissionSession:
+    ) -> SolveSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return FusionFissionSession(self, request, checkpoint)
+        return SolveSession(self, request, checkpoint)
+
+    def stepper(
+        self, session: SolveSession, state: dict | None = None
+    ) -> FusionFissionRun:
+        """A fresh :class:`FusionFissionRun` from Algorithm 2's molecule
+        on ``session.rng``, or one restored from a checkpoint ``state``.
+
+        Phases: ``initialize`` (Algorithm 2), ``search`` (Algorithm 1),
+        ``finalize`` (coercion to the target k when needed).
+        """
+        graph, k = session.request.graph, session.request.k
+        energy = self._energy(
+            graph, k=k, objective=session.request.objective or self.objective
+        )
+        laws = self._laws(graph)
+        if state is None:
+            session._set_phase("initialize")
+            initial = initialize_molecule(
+                graph, k, laws, energy, seed=session.rng,
+                cascade=self.init_cascade,
+            )
+        else:
+            # The placeholder skips Algorithm 2 so the restored rng stream
+            # is untouched; restore_state then overwrites every field.
+            # (The constructor still records the placeholder, which can
+            # count one incumbent event before any observer subscribes.)
+            initial = Partition(
+                graph, np.asarray(state["current_assignment"], dtype=np.int64)
+            )
+        run = FusionFissionRun(
+            graph,
+            k,
+            energy,
+            schedule=self._schedule(),
+            laws=laws,
+            max_steps=self.max_steps,
+            time_budget=self.time_budget,
+            max_parts_factor=self.max_parts_factor,
+            seed=session.rng,
+            initial=initial,
+            on_improvement=session._incumbent_improved,
+            on_phase=session._set_phase,
+        )
+        if state is None:
+            session._set_phase("search")
+        else:
+            run.restore_state(state)
+        return run

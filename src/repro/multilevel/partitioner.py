@@ -24,7 +24,7 @@ from repro.partition.partition import Partition
 from repro.refine.fm import fm_refine
 from repro.refine.kl import kl_refine
 from repro.api.request import SolveRequest
-from repro.api.session import OneShotSession
+from repro.api.session import OneShotStepper, SolveSession
 
 __all__ = ["MultilevelPartitioner"]
 
@@ -66,12 +66,14 @@ class MultilevelPartitioner:
     fm_passes: int = 6
 
     name = "multilevel"
+    #: Direct construction: the session runs :meth:`partition` once.
+    stepper = OneShotStepper
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> OneShotSession:
+    ) -> SolveSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return OneShotSession(self, request, checkpoint)
+        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Partition ``graph`` into ``self.k`` parts."""

@@ -30,7 +30,7 @@ from repro.common.rng import SeedLike, ensure_rng
 from repro.graph.graph import Graph
 from repro.partition.partition import Partition
 from repro.api.request import SolveRequest
-from repro.api.session import OneShotSession
+from repro.api.session import OneShotStepper, SolveSession
 
 __all__ = [
     "percolation_bonds",
@@ -262,12 +262,14 @@ class PercolationPartitioner:
     balance_epsilon: float = 0.25
 
     name = "percolation"
+    #: Direct construction: the session runs :meth:`partition` once.
+    stepper = OneShotStepper
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> OneShotSession:
+    ) -> SolveSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return OneShotSession(self, request, checkpoint)
+        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Flood from automatically spread centres."""

@@ -24,7 +24,7 @@ from repro.partition.partition import Partition
 from repro.refine.kl import kl_refine
 from repro.spectral.bisection import recursive_spectral_partition
 from repro.api.request import SolveRequest
-from repro.api.session import OneShotSession
+from repro.api.session import OneShotStepper, SolveSession
 
 __all__ = ["SpectralPartitioner", "LinearPartitioner"]
 
@@ -63,12 +63,14 @@ class LinearPartitioner:
     kl_passes: int = 4
 
     name = "linear"
+    #: Direct construction: the session runs :meth:`partition` once.
+    stepper = OneShotStepper
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> OneShotSession:
+    ) -> SolveSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return OneShotSession(self, request, checkpoint)
+        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Partition ``graph``; ``seed`` is unused (deterministic method)."""
@@ -114,12 +116,14 @@ class SpectralPartitioner:
     kl_passes: int = 4
 
     name = "spectral"
+    #: Direct construction: the session runs :meth:`partition` once.
+    stepper = OneShotStepper
 
     def start(
         self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> OneShotSession:
+    ) -> SolveSession:
         """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return OneShotSession(self, request, checkpoint)
+        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Partition ``graph`` into ``self.k`` parts."""

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike, ensure_rng
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.graph import Graph
 from repro.partition.objectives import get_objective
 from repro.partition.partition import Partition
@@ -67,8 +68,8 @@ def diurnal_weights(
     epoch sequence stays inside the kernels' exact-arithmetic regime and
     warm-started resumes are bit-deterministic.
 
-    The topology (and therefore the checkpoint graph fingerprint —
-    vertex and edge counts) never changes; only weights do.
+    The topology (vertex and edge counts) never changes; only weights
+    do, so each epoch's graph has its own content fingerprint.
     """
     if not 0 <= epoch < num_epochs:
         raise ConfigurationError(
@@ -199,6 +200,7 @@ def warm_start_checkpoint(checkpoint: dict, graph: Graph) -> dict:
     warm["graph"] = {
         "num_vertices": graph.num_vertices,
         "num_edges": graph.num_edges,
+        "fingerprint": graph_fingerprint(graph),
     }
     warm["state"] = rebaser(
         dict(checkpoint["state"]), graph, str(objective), options

@@ -130,7 +130,7 @@ class TestPartitionerApi:
             SolveRequest(graph=g, k=4, seed=0)
         )
         session.run()
-        res = session.result()
+        res = session.stepper.finalize()
         assert res.best_by_k
         assert all(v >= 0 for v in res.best_by_k.values())
 
