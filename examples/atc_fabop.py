@@ -13,7 +13,8 @@ Run:  python examples/atc_fabop.py [--k 32] [--budget 20]
 
 import argparse
 
-from repro.atc import block_report, build_blocks, core_area_network
+from repro.api import Budget, solve
+from repro.atc import BlockDesign, block_report, core_area_network
 
 
 def main() -> None:
@@ -32,14 +33,12 @@ def main() -> None:
     )
     print(f"countries: {', '.join(network.countries)}\n")
 
-    design = build_blocks(
-        network,
-        k=args.k,
-        method="fusion-fission",
-        seed=args.seed,
-        time_budget=args.budget,
-        max_steps=10**9,
+    # The metaheuristic runs for the whole session budget.
+    solved = solve(
+        network.graph, args.k, "fusion-fission", seed=args.seed,
+        budget=Budget(max_seconds=args.budget),
     )
+    design = BlockDesign(network, solved.partition, solved.method)
     report = block_report(design)
     print(f"designed {report['num_blocks']} functional airspace blocks "
           f"with {design.method}:")

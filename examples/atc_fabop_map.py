@@ -12,7 +12,8 @@ Run:  python examples/atc_fabop_map.py -o blocks.svg
 
 import argparse
 
-from repro.atc import build_blocks, core_area_network
+from repro.api import Budget, solve
+from repro.atc import BlockDesign, core_area_network
 from repro.viz import render_partition_svg
 
 
@@ -26,14 +27,11 @@ def main() -> None:
     args = parser.parse_args()
 
     network = core_area_network(seed=args.seed)
-    options = {}
-    if args.budget is not None:
-        options["time_budget"] = args.budget
-        if args.method == "fusion-fission":
-            options["max_steps"] = 10**9
-    design = build_blocks(
-        network, k=args.k, method=args.method, seed=args.seed, **options
+    solved = solve(
+        network.graph, args.k, args.method, seed=args.seed,
+        budget=Budget(max_seconds=args.budget),
     )
+    design = BlockDesign(network, solved.partition, solved.method)
     render_partition_svg(
         network.graph,
         network.positions(),

@@ -12,9 +12,10 @@ Faithful to §3.1:
   moves with probability ``exp((e(s) - e(s')) / T)``.
 * **Equilibrium** — a fixed number of *refused* moves at the current
   temperature triggers a cooling step.
-* **Stop** — freezing point ``T <= tmin`` (or an optional wall-clock
-  deadline / step cap for the Figure-1 harness), returning the best
-  solution seen.
+* **Stop** — freezing point ``T <= tmin`` (or an optional step cap),
+  returning the best solution seen.  Under a session wall-clock budget
+  the run instead reheats from its best when frozen and continues until
+  the budget pauses it.
 
 Moves that would empty a part are rejected outright so ``k`` stays fixed
 (SA is the paper's fixed-k baseline; changing k is fusion–fission's trick).
@@ -36,7 +37,6 @@ import numpy as np
 
 from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike, ensure_rng
-from repro.common.timer import Deadline
 from repro.graph.graph import Graph
 from repro.partition.objectives import Objective, get_objective
 from repro.partition.partition import Partition
@@ -71,8 +71,11 @@ class AnnealRun:
         Refused moves at one temperature before cooling.
     freeze_epsilon:
         Freezing point as a fraction of ``tmax`` when ``tmin = 0``.
-    max_steps, time_budget:
-        Optional extra stopping criteria (whichever hits first).
+    max_steps:
+        Optional step cap.
+    reheat:
+        When frozen, restart from the best solution at ``tmax`` instead
+        of stopping (set while a session wall-clock budget is running).
     on_improvement:
         Callback ``(energy, partition)`` fired whenever a new best is
         found (sessions turn it into ``incumbent`` events).
@@ -97,7 +100,7 @@ class AnnealRun:
         equilibrium_refusals: int = 50,
         freeze_epsilon: float = 1e-3,
         max_steps: int | None = None,
-        time_budget: float | None = None,
+        reheat: bool = False,
         seed: SeedLike = None,
         on_improvement: Callable[[float, Partition], None] | None = None,
     ) -> None:
@@ -115,9 +118,8 @@ class AnnealRun:
         self.midpoint = 0.5 * (tmax + tmin)
         self.tmax = tmax
         self.max_steps = max_steps
-        self.time_budget = time_budget
+        self.reheat = reheat
         self.equilibrium_refusals = equilibrium_refusals
-        self.deadline = Deadline(time_budget)
         self.on_improvement = on_improvement
 
         self.partition = partition
@@ -132,17 +134,17 @@ class AnnealRun:
     def step(self) -> bool:
         """One iteration of the annealing loop; False once stopped.
 
-        Ordering (freeze/reheat check, step cap, deadline, then one move
-        attempt) and every random draw replicate the historical loop
-        exactly.
+        Ordering (freeze/reheat check, step cap, then one move attempt)
+        and every random draw replicate the historical loop exactly.
         """
         if self.finished:
             return False
         if self.t <= self.freeze:
-            # Frozen.  With a wall-clock budget the paper's metaheuristics
-            # "can run infinitely": reheat and continue from the best
-            # solution; without a budget, freezing is the stop criterion.
-            if self.time_budget is None or self.deadline.expired():
+            # Frozen.  Under a wall-clock budget the paper's
+            # metaheuristics "can run infinitely": reheat and continue
+            # from the best solution; otherwise freezing is the stop
+            # criterion.
+            if not self.reheat:
                 self.finished = True
                 return False
             self.partition = self.best.copy()
@@ -150,9 +152,6 @@ class AnnealRun:
             self.t = self.tmax
             self.refusals = 0
         if self.max_steps is not None and self.steps >= self.max_steps:
-            self.finished = True
-            return False
-        if self.deadline.expired():
             self.finished = True
             return False
         self.steps += 1
@@ -302,7 +301,6 @@ class SimulatedAnnealingPartitioner:
     cooling_ratio: float = 0.95
     equilibrium_refusals: int = 50
     max_steps: int | None = None
-    time_budget: float | None = None
 
     name = "simulated-annealing"
     #: Iterative family: sessions may run island-model (`islands > 1`).
@@ -340,7 +338,7 @@ class SimulatedAnnealingPartitioner:
             cooling_ratio=self.cooling_ratio,
             equilibrium_refusals=self.equilibrium_refusals,
             max_steps=self.max_steps,
-            time_budget=self.time_budget,
+            reheat=session.open_ended,
             seed=session.rng,
             on_improvement=session._incumbent_improved,
         )

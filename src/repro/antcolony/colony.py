@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike, ensure_rng
-from repro.common.timer import Deadline
 from repro.graph.graph import Graph
 from repro.antcolony.pheromone import PheromoneField
 from repro.partition.objectives import Objective, get_objective
@@ -131,8 +130,8 @@ class AntColonyRun:
     pheromone_power, heuristic_power:
         Exponents α, β of the standard ant-system step rule
         ``p(e) ∝ τ(e)^α · w(e)^β``.
-    iterations, time_budget:
-        Stopping criteria (whichever first).
+    iterations:
+        Iteration cap (``None``: no cap, run until the session pauses).
     initial_partition:
         Territory seeding; defaults to percolation (paper §4.4).
     on_improvement:
@@ -153,9 +152,8 @@ class AntColonyRun:
         exploration_bonus: float = 0.5,
         pheromone_power: float = 1.0,
         heuristic_power: float = 1.0,
-        iterations: int = 200,
+        iterations: int | None = 200,
         daemon_moves: int = 200,
-        time_budget: float | None = None,
         seed: SeedLike = None,
         initial_partition: Partition | None = None,
         on_improvement: Callable[[float, Partition], None] | None = None,
@@ -166,7 +164,6 @@ class AntColonyRun:
         self.k = k
         self.obj = get_objective(objective)
         self.rng = ensure_rng(seed)
-        self.deadline = Deadline(time_budget)
         self.num_ants = num_ants
         self.walk_length = walk_length
         self.evaporation = evaporation
@@ -208,10 +205,8 @@ class AntColonyRun:
 
     def step(self) -> bool:
         """One colony iteration (motion, update, centralised action);
-        False once the iteration cap or deadline stops the run."""
-        if self.it >= self.iterations:
-            return False
-        if self.deadline.expired():
+        False once the iteration cap stops the run."""
+        if self.iterations is not None and self.it >= self.iterations:
             return False
         graph, k, rng, field = self.graph, self.k, self.rng, self.field
         w_edges = graph.weights  # per-arc weights (CSR order)
@@ -276,7 +271,7 @@ class AntColonyRun:
         self.current_assignment = partition.assignment.copy()
         field.evaporate(self.evaporation)
         self.it += 1
-        return self.it < self.iterations
+        return self.iterations is None or self.it < self.iterations
 
     # -- the session's stepper interface (see repro.api.session) -----------
     def advance(self) -> bool:
@@ -360,7 +355,6 @@ class AntColonyPartitioner:
     heuristic_power: float = 1.0
     daemon_moves: int = 200
     iterations: int = 200
-    time_budget: float | None = None
 
     name = "ant-colony"
     #: Iterative family: sessions may run island-model (`islands > 1`).
@@ -401,9 +395,8 @@ class AntColonyPartitioner:
             exploration_bonus=self.exploration_bonus,
             pheromone_power=self.pheromone_power,
             heuristic_power=self.heuristic_power,
-            iterations=self.iterations,
+            iterations=None if session.open_ended else self.iterations,
             daemon_moves=self.daemon_moves,
-            time_budget=self.time_budget,
             seed=session.rng,
             initial_partition=initial,
             on_improvement=session._incumbent_improved,

@@ -8,7 +8,7 @@ annealing, ant colony, spectral/linear, percolation):
   every registered partitioner implements it, and a session is the only
   way to run one (:func:`get_solver` builds them by registry name).
 * :class:`SolveRequest` / :class:`SolveReport` — the request/response
-  dataclasses (graph, k, objective, balance tolerance, seed, budgets).
+  dataclasses (graph, k, objective, seed, budgets).
 * :class:`SolveSession` — ``step()``/``run()`` execution with structured
   :class:`SolveEvent` streaming to observers, cooperative wall-clock and
   iteration budgets, ``cancel()``, and JSON ``checkpoint()`` /

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Protocol, runtime_checkable
 
-from repro.common.exceptions import CheckpointError
+from repro.common.exceptions import CheckpointError, ConfigurationError
 from repro.common.rng import SeedLike
 from repro.graph.graph import Graph
 from repro.api.events import SolveEvent
@@ -48,11 +48,16 @@ def get_solver(method: str, k: int, **options: Any) -> Solver:
     """Build a solver by registry name (aliases accepted).
 
     Unknown names raise :class:`~repro.common.exceptions.ConfigurationError`
-    listing every canonical method and alias.
+    listing every canonical method and alias; so do options the method
+    does not take.
     """
     from repro.bench.registry import METHOD_FACTORIES, canonical_method
 
-    return METHOD_FACTORIES[canonical_method(method)](k, **options)
+    key = canonical_method(method)
+    try:
+        return METHOD_FACTORIES[key](k, **options)
+    except TypeError as exc:  # an option the solver does not take
+        raise ConfigurationError(f"method {key!r}: {exc}") from exc
 
 
 def solve(
@@ -63,7 +68,6 @@ def solve(
     objective: str | None = None,
     seed: SeedLike = None,
     budget: Budget | None = None,
-    balance_tolerance: float | None = None,
     observers: tuple[Callable[[SolveEvent], None], ...] = (),
     name: str = "graph",
     islands: int = 1,
@@ -74,7 +78,8 @@ def solve(
     """One-call solve: build the solver, run a session, return the report.
 
     Extra ``options`` go to the solver constructor (e.g.
-    ``max_steps=500`` for fusion–fission); ``islands``/
+    ``max_steps=500`` for fusion–fission, ``balance_tolerance=0.05`` for
+    multilevel); ``islands``/
     ``migration_interval``/``island_jobs`` configure island-model
     execution for the iterative families (see
     :class:`~repro.api.request.SolveRequest`).
@@ -95,7 +100,6 @@ def solve(
         graph=graph,
         k=k,
         objective=objective,
-        balance_tolerance=balance_tolerance,
         seed=seed,
         budget=budget or Budget(),
         name=name,
@@ -144,9 +148,17 @@ def resume(
         raise CheckpointError(
             f"checkpoint header is malformed: {type(exc).__name__}: {exc}"
         ) from exc
+    # Retired solver options: the cascade ran only on a fresh start, and
+    # the wall-clock budget is the session's.
+    options.pop("init_cascade", None)
+    if options.pop("time_budget", None) is not None:
+        raise CheckpointError(
+            "checkpoint options carry a solver time_budget; resume with "
+            "the session budget, budget=Budget(max_seconds=...)"
+        )
     try:
         solver = get_solver(method, k, **options)
-    except TypeError as exc:
+    except ConfigurationError as exc:
         # e.g. a tampered checkpoint whose options belong to a different
         # method than its header claims.
         raise CheckpointError(

@@ -121,15 +121,16 @@ class IslandGroup:
     def _child_request_args(request: SolveRequest) -> dict:
         """Child-request kwargs (everything but graph and seed).
 
-        Children run unbudgeted and silent: the parent owns budgets,
-        heartbeats and events; islands only ever advance through
-        :meth:`advance`, ``interval`` iterations at a time.
+        Children run silent and are never ``run()``: the parent owns
+        budgets, heartbeats and events; islands only ever advance
+        through :meth:`advance`, ``interval`` iterations at a time.  They
+        inherit the wall-clock budget only so that their steppers run
+        until it expires, as the parent's would.
         """
         return {
             "k": request.k,
             "objective": request.objective,
-            "balance_tolerance": request.balance_tolerance,
-            "budget": Budget(),
+            "budget": Budget(max_seconds=request.budget.max_seconds),
             "name": request.name,
             "heartbeat_interval": None,
             "islands": 1,

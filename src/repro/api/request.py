@@ -1,7 +1,7 @@
 """The request/report halves of the unified solver API.
 
 :class:`SolveRequest` is the one value a caller hands to any solver:
-graph, part count, objective, balance tolerance, seed and budgets.
+graph, part count, objective, seed and budgets.
 :class:`SolveReport` is what a finished (or paused) session hands back:
 the best partition plus status, iteration/time accounting and the full
 paper-criteria metrics.  Both are plain dataclasses so they ship across
@@ -79,7 +79,11 @@ class Budget:
     ----------
     max_seconds:
         Wall-clock ceiling; the session pauses (status stays
-        ``running``) at the first iteration boundary past it.
+        ``running``) at the first iteration boundary past it.  It is
+        the only wall-clock budget: while it is set, the metaheuristics
+        (annealing, ant colony, fusion–fission) drop their step and
+        iteration caps and annealing reheats from its best when frozen,
+        so the run uses the whole budget.
     max_iterations:
         Session-iteration ceiling, same pause semantics.
     """
@@ -96,10 +100,6 @@ class Budget:
             raise ConfigurationError(
                 f"max_iterations must be >= 0, got {self.max_iterations}"
             )
-
-    def bounded(self) -> bool:
-        """True when either limit is set."""
-        return self.max_seconds is not None or self.max_iterations is not None
 
     def as_dict(self) -> dict:
         return {
@@ -123,9 +123,6 @@ class SolveRequest:
         ``"mcut"``); ``None`` keeps each solver's configured default.
         Direct constructions (linear, spectral, multilevel, percolation)
         ignore it, exactly as their constructors always have.
-    balance_tolerance:
-        Advisory part-weight imbalance bound carried into solvers that
-        support one (the multilevel refiner); ``None`` keeps defaults.
     seed:
         Anything :func:`~repro.common.rng.ensure_rng` accepts.
     budget:
@@ -162,7 +159,6 @@ class SolveRequest:
     graph: Graph
     k: int
     objective: str | None = None
-    balance_tolerance: float | None = None
     seed: SeedLike = None
     budget: Budget = field(default_factory=Budget)
     name: str = "graph"
@@ -181,10 +177,6 @@ class SolveRequest:
             )
         if self.objective is not None:
             self.objective = str(self.objective).strip().lower()
-        if self.balance_tolerance is not None and self.balance_tolerance <= 0:
-            raise ConfigurationError(
-                f"balance_tolerance must be > 0, got {self.balance_tolerance}"
-            )
         if self.budget is None:
             self.budget = Budget()
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
@@ -213,7 +205,6 @@ class SolveRequest:
             "num_edges": self.graph.num_edges,
             "k": self.k,
             "objective": self.objective,
-            "balance_tolerance": self.balance_tolerance,
             "budget": self.budget.as_dict(),
             "heartbeat_interval": self.heartbeat_interval,
             "islands": self.islands,

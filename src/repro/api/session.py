@@ -52,8 +52,9 @@ exact for integral weights regardless of summation order.  Graphs with
 arbitrary float weights resume to within accumulation ulps — documented,
 not guaranteed bit-for-bit.
 
-Wall-clock budgets restart from the checkpointed *cumulative* elapsed
-time, so ``Budget(max_seconds=10)`` spans resumes too.
+``Budget(max_seconds=...)``, the only wall-clock budget, counts
+*cumulative* solve time, so ``Budget(max_seconds=10)`` spans resumes,
+slices and island rounds too (see :attr:`SolveSession.open_ended`).
 """
 
 from __future__ import annotations
@@ -203,6 +204,11 @@ class SolveSession:
         self._heartbeat = Ticker(request.heartbeat_interval)
         self._elapsed_offset = 0.0
         self._clock_start: float | None = time.perf_counter()
+        if solver.k != request.k:
+            raise ConfigurationError(
+                f"solver {self.method!r} was built for k={solver.k}, "
+                f"the request asks k={request.k}"
+            )
         if request.islands > 1 and not getattr(
             solver, "supports_islands", False
         ):
@@ -226,6 +232,12 @@ class SolveSession:
 
             return IslandGroup(self, state)
         return self.solver.stepper(self, state)
+
+    @property
+    def open_ended(self) -> bool:
+        """True while the request has a wall-clock budget: stepper
+        factories then lift their caps so the run uses all of it."""
+        return self.request.budget.max_seconds is not None
 
     def _objective_name(self) -> str:
         """Criterion name reported for this session."""

@@ -1,8 +1,7 @@
 """Benchmark harness reproducing the paper's evaluation (§6).
 
 * :mod:`repro.bench.registry` — name → solver factory (with user
-  aliases and per-method budget plumbing), plus the exact 17-method
-  matrix of Table 1,
+  aliases), plus the exact 17-method matrix of Table 1,
 * :mod:`repro.bench.harness` — run a method suite on a graph through the
   portfolio engine and collect Cut/Ncut/Mcut rows (``jobs > 1`` uses a
   process pool),
@@ -18,7 +17,6 @@ from repro.bench.registry import (
     METHOD_ALIASES,
     METHOD_FACTORIES,
     METHOD_SUMMARIES,
-    budget_options,
     canonical_method,
     list_methods,
     table1_methods,
@@ -27,7 +25,6 @@ from repro.bench.harness import MethodResult, run_method, run_suite, format_tabl
 
 __all__ = [
     "canonical_method",
-    "budget_options",
     "list_methods",
     "table1_methods",
     "METHOD_FACTORIES",

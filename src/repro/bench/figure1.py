@@ -76,19 +76,13 @@ def trace_metaheuristic(
     Each session ``incumbent`` event carries the new best Mcut and the
     session's elapsed solve time; the final point is the run's report.
     """
-    from repro.api import EVENT_INCUMBENT, SolveRequest, get_solver
+    from repro.api import EVENT_INCUMBENT, Budget, SolveRequest, get_solver
 
     trace = QualityTrace(label=method)
-    options: dict = {"time_budget": budget, "objective": "mcut"}
-    if method == "fusion-fission":
-        options["max_steps"] = 10**9  # budget-limited, not step-limited
-    elif method == "simulated-annealing":
-        options["max_steps"] = None
-        options["tmin"] = 0.0
-    elif method == "ant-colony":
-        options["iterations"] = 10**9
-    session = get_solver(method, k, **options).start(
-        SolveRequest(graph=graph, k=k, seed=seed)
+    session = get_solver(method, k, objective="mcut").start(
+        SolveRequest(
+            graph=graph, k=k, seed=seed, budget=Budget(max_seconds=budget)
+        )
     )
 
     def on_event(event) -> None:

@@ -75,10 +75,13 @@ class MethodResult:
 def run_method(spec, graph: Graph, k: int, seed: SeedLike = None) -> MethodResult:
     """Run one spec at ``k`` parts through the session API; score on all
     criteria."""
-    from repro.api import SolveRequest
+    from repro.api import Budget, SolveRequest
 
     solver = spec.build_solver(k)
-    request = SolveRequest(graph=graph, k=k, seed=seed, name=spec.label)
+    request = SolveRequest(
+        graph=graph, k=k, seed=seed, name=spec.label,
+        budget=Budget(max_seconds=spec.time_budget),
+    )
     with Timer() as timer:
         # The session report carries the full evaluate_partition metrics;
         # no second scoring pass needed.

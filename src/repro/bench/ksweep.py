@@ -9,14 +9,14 @@ fixed-k baseline (multilevel where k is a power of two, greedy otherwise).
 
 Run as a module::
 
-    python -m repro.bench.ksweep [--k 32] [--window 6]
+    python -m repro.bench.ksweep [--k 32] [--window 6] [--budget 60]
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.api.request import SolveRequest
+from repro.api.request import Budget, SolveRequest
 from repro.atc.europe import core_area_graph
 from repro.common.rng import SeedLike
 from repro.fusionfission.partitioner import FusionFissionPartitioner
@@ -29,15 +29,16 @@ def run_ksweep(
     seed: SeedLike = 2006,
     graph=None,
     max_steps: int = 6000,
-    time_budget: float | None = 60.0,
+    budget: float | None = None,
 ) -> dict[int, float]:
-    """One FF run; returns ``{part count: best Mcut seen}``."""
+    """One FF run of ``max_steps`` steps, or of ``budget`` seconds when
+    one is given; returns ``{part count: best Mcut seen}``."""
     if graph is None:
         graph = core_area_graph(seed=seed)
-    ff = FusionFissionPartitioner(
-        k=k, max_steps=max_steps, time_budget=time_budget
-    )
-    session = ff.start(SolveRequest(graph=graph, k=k, seed=seed))
+    ff = FusionFissionPartitioner(k=k, max_steps=max_steps)
+    session = ff.start(SolveRequest(
+        graph=graph, k=k, seed=seed, budget=Budget(max_seconds=budget)
+    ))
     session.run()
     return dict(sorted(session.stepper.finalize().best_by_k.items()))
 
@@ -61,9 +62,10 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--k", type=int, default=32)
     parser.add_argument("--seed", type=int, default=2006)
     parser.add_argument("--window", type=int, default=6)
-    parser.add_argument("--budget", type=float, default=60.0)
+    parser.add_argument("--budget", type=float, default=None,
+                        help="seconds to run instead of the step cap")
     args = parser.parse_args(argv)
-    profile = run_ksweep(k=args.k, seed=args.seed, time_budget=args.budget)
+    profile = run_ksweep(k=args.k, seed=args.seed, budget=args.budget)
     print(format_ksweep(profile, args.k, args.window))
 
 

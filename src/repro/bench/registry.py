@@ -5,10 +5,8 @@ protocol (``start(request) -> SolveSession``); the registry lets
 :func:`repro.api.get_solver`, the portfolio engine, the FABOP API and
 the benches instantiate them uniformly by name.
 :func:`canonical_method` resolves user-facing aliases (``annealing``,
-``ff``, …), :func:`budget_options` centralises the per-method knobs that
-turn a wall-clock budget into authoritative stopping criteria, and
-:func:`table1_methods` returns the exact method matrix of the paper's
-Table 1 (17 labelled :class:`~repro.engine.SolverSpec` rows).
+``ff``, …) and :func:`table1_methods` returns the exact method matrix of
+the paper's Table 1 (17 labelled :class:`~repro.engine.SolverSpec` rows).
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ __all__ = [
     "METHOD_SUMMARIES",
     "METAHEURISTICS",
     "canonical_method",
-    "budget_options",
     "list_methods",
     "table1_methods",
 ]
@@ -105,7 +102,8 @@ METHOD_SUMMARIES: dict[str, str] = {
     "fusion-fission": "the paper's contribution: variable-k atom dynamics (§4)",
 }
 
-#: Methods that honour ``time_budget`` / ``objective`` options.
+#: Methods that honour an ``objective`` option and run for a whole
+#: session wall-clock budget.
 METAHEURISTICS = frozenset(
     {"simulated-annealing", "ant-colony", "fusion-fission"}
 )
@@ -153,25 +151,6 @@ def list_methods() -> list[tuple[str, list[str], str]]:
     return rows
 
 
-def budget_options(method: str, time_budget: float | None) -> dict[str, Any]:
-    """Options that make ``time_budget`` the authoritative stop criterion.
-
-    The metaheuristics stop at *either* their step/iteration cap or the
-    wall-clock budget; when a budget is given the caps are lifted so the
-    whole budget is used.  Non-metaheuristics ignore budgets (they are
-    direct constructions) and get no options.
-    """
-    key = canonical_method(method)
-    if time_budget is None or key not in METAHEURISTICS:
-        return {}
-    options: dict[str, Any] = {"time_budget": time_budget}
-    if key == "fusion-fission":
-        options["max_steps"] = 10**9
-    elif key == "ant-colony":
-        options["iterations"] = 10**9
-    return options
-
-
 def table1_methods(
     k: int = 32,
     metaheuristic_budget: float | None = None,
@@ -186,8 +165,8 @@ def table1_methods(
     metaheuristic_budget:
         Optional per-run wall-clock budget (seconds) for SA, ant colony
         and fusion–fission; ``None`` uses their step-count defaults.  A
-        budget is authoritative: :meth:`SolverSpec.for_method` lifts the
-        step/iteration caps so every metaheuristic uses all of it.
+        budget is authoritative: :meth:`SolverSpec.for_method` stores it
+        on the spec, and every metaheuristic runs until it expires.
     """
     from repro.engine.spec import SolverSpec
 

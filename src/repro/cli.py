@@ -20,14 +20,15 @@ Nine subcommands, mirroring how Chaco/Metis are driven from the shell::
   :mod:`repro.api` session layer and writes one part id per line (Metis'
   output convention): structured event streaming (``--events`` JSONL),
   cooperative wall-clock/iteration budgets (``--budget 2s``,
-  ``--iterations N``), and checkpointing — ``--checkpoint ck.json``
-  writes the session state on exit (done or paused), ``--resume
-  ck.json`` continues a previous run deterministically.
+  ``--iterations N``; the metaheuristics run until the wall-clock
+  budget expires), and checkpointing — ``--checkpoint ck.json`` writes
+  the session state on exit (done or paused), ``--resume ck.json``
+  continues a previous run deterministically.
 * ``portfolio`` fans one instance out across (method × seed) on the
   portfolio engine's process pool, prints per-method statistics (plus a
   failure summary when runs failed) and writes the best assignment / a
-  JSON report; ``--budget`` lifts the metaheuristics' step caps so each
-  run uses its whole budget.  ``--retries``/``--task-timeout`` turn on
+  JSON report; ``--budget`` gives each metaheuristic run that many
+  seconds, all of which it uses.  ``--retries``/``--task-timeout`` turn on
   the engine's fault tolerance (same-seed retries, straggler reaping,
   pool self-healing) and ``--faults`` injects deterministic chaos
   faults — see ``docs/robustness.md``.
@@ -170,21 +171,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             graph, checkpoint, budget=budget, island_jobs=args.island_jobs
         )
     else:
-        # Method names are validated before any graph I/O.  Unlike
-        # `portfolio --budget` (which lifts the metaheuristics' step
-        # caps and runs the whole budget down), solve keeps each
-        # solver's own caps as the natural completion criterion: the
-        # session budget *pauses* the run cooperatively, and the
-        # checkpoint it leaves behind resumes to a bounded finish.
+        # Method names are validated before any graph I/O.  The budget
+        # *pauses* the run cooperatively (the metaheuristics use all of
+        # it); the checkpoint it leaves behind resumes without a budget
+        # to a bounded finish.
         method = canonical_method(args.method)
-        options = {}
-        if args.objective is not None:
-            from repro.bench.registry import METAHEURISTICS
-
-            if method in METAHEURISTICS:
-                options["objective"] = args.objective
         graph = read_graph_auto(args.input)
-        solver = get_solver(method, args.k, **options)
+        solver = get_solver(method, args.k)
         session = solver.start(SolveRequest(
             graph=graph,
             k=args.k,
@@ -620,9 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", default=None,
                    help="wall-clock budget, e.g. '2s', '500ms', '1.5m'; "
-                        "the session *pauses* at the budget (resumable "
-                        "via --checkpoint), it does not lift solver step "
-                        "caps like `portfolio --budget` does")
+                        "the metaheuristics run until it expires and the "
+                        "session *pauses* there (resumable via "
+                        "--checkpoint)")
     s.add_argument("--iterations", type=int, default=None,
                    help="session-iteration budget (same pause semantics)")
     s.add_argument("--islands", type=int, default=1,
@@ -671,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--objective", default="mcut",
                    choices=["cut", "ncut", "mcut"])
     f.add_argument("--budget", type=float, default=None,
-                   help="per-run wall-clock seconds for metaheuristics")
+                   help="per-run wall-clock seconds for metaheuristics, "
+                        "which run until it expires")
     f.add_argument("--deadline", type=float, default=None,
                    help="total wall-clock seconds; unstarted runs cancel")
     f.add_argument("--retries", type=int, default=0,

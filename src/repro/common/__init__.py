@@ -7,8 +7,8 @@ reproducible from a single integer.  Seeds, generators and
 :class:`numpy.random.SeedSequence` objects all pickle, which is what lets
 the portfolio engine (:mod:`repro.engine`) ship per-task seeds to worker
 processes without losing determinism; :class:`repro.common.timer.Deadline`
-is the shared wall-clock budget type used by both the metaheuristic inner
-loops and the engine's cancellation logic.
+is the shared wall-clock budget type used by both the session's budget
+pauses and the engine's cancellation logic.
 """
 
 from repro.common.atomic import atomic_write_json, atomic_write_text

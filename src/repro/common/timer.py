@@ -1,9 +1,9 @@
 """Wall-clock helpers used by the time-budgeted benchmark harness.
 
 Figure 1 of the paper plots solution quality against wall-clock time on a
-log axis; :class:`Deadline` gives the metaheuristic drivers a uniform way to
-stop at a time budget, and :class:`Timer` is a tiny context-manager
-stopwatch used throughout the bench harness.
+log axis; :class:`Deadline` gives solve sessions and the portfolio engine a
+uniform way to stop at a time budget, and :class:`Timer` is a tiny
+context-manager stopwatch used throughout the bench harness.
 """
 
 from __future__ import annotations

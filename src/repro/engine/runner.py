@@ -53,8 +53,8 @@ as failed records whose error distinguishes "never scheduled" from
 A retry the deadline cuts off instead keeps its last error plus a
 "retry abandoned" note, and is given up as soon as its backoff would
 outlast the deadline.  Tasks already running are allowed to finish
-(bound their runtime with ``task_timeout`` or the per-run
-``time_budget`` of the metaheuristics).
+(bound their runtime with ``task_timeout`` or the spec's per-run
+``time_budget``).
 
 Chaos testing: a :class:`~repro.engine.faults.FaultInjector` (the
 ``faults`` option) makes chosen grid cells crash, hang, fail or corrupt
@@ -175,11 +175,13 @@ def execute_task(
     (``solver.start(request).run()``), which also reports per-run
     iteration counts for the telemetry layer.
 
-    ``task.timeout`` bounds the solve cooperatively: the session pauses
-    at the timeout, and a partial result (when one exists) is kept and
-    scored, with the degradation noted in the record's fault trace; a
-    session that pauses empty-handed fails as ``timeout``.  Without a
-    timeout the solve runs unbudgeted, exactly as before.
+    The spec's ``time_budget`` becomes the request's wall-clock budget;
+    a run that pauses on it has simply used its budget.
+    ``task.timeout``, when it comes first, bounds the solve
+    cooperatively: the session pauses at the timeout, and a partial
+    result (when one exists) is kept and scored, with the degradation
+    noted in the record's fault trace; a session that pauses
+    empty-handed fails as ``timeout``.
 
     ``task.fault`` fires injected chaos faults (crash/hang/fail before
     the solve, corrupt after); ``on_heartbeat`` is invoked on every
@@ -189,7 +191,7 @@ def execute_task(
     classified ``error_kind``) so one bad entrant cannot sink the whole
     portfolio.
     """
-    from repro.api import EVENT_HEARTBEAT, STATUS_RUNNING, SolveRequest
+    from repro.api import EVENT_HEARTBEAT, STATUS_RUNNING, Budget, SolveRequest
 
     trace: list[str] = []
     try:
@@ -212,10 +214,17 @@ def execute_task(
                 "not support islands; ran sequentially (islands=1)"
             )
             islands = 1
+        budget = task.spec.time_budget
+        # The timeout cuts the run short only when it comes before the
+        # spec's own budget, whose expiry is the run's normal end.
+        cut_short = task.timeout is not None and (
+            budget is None or task.timeout < budget
+        )
         request = SolveRequest(
             graph=graph,
             k=task.k,
             seed=task.seed,
+            budget=Budget(max_seconds=budget),
             name=task.spec.label,
             heartbeat_interval=heartbeat_interval,
             islands=islands,
@@ -231,16 +240,15 @@ def execute_task(
                         else None
                     )
                 )
-            if task.timeout is not None:
-                report = session.run(max_seconds=task.timeout)
-            else:
-                report = session.run()
+            report = session.run(
+                max_seconds=task.timeout if cut_short else budget
+            )
         if report.partition is None:
             raise TaskTimeout(
-                f"task timeout ({task.timeout:g}s) expired before the "
-                "solver produced any partition"
+                f"{'task timeout' if cut_short else 'time budget'} expired "
+                "before the solver produced any partition"
             )
-        if report.status == STATUS_RUNNING:
+        if cut_short and report.status == STATUS_RUNNING:
             # Graceful degradation: the session paused on the timeout
             # but has a best-so-far partition — keep it, note it.
             trace.append(

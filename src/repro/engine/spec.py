@@ -1,11 +1,12 @@
 """The solver half of the engine API: *how* to partition.
 
 A :class:`SolverSpec` is a declarative recipe for one portfolio entrant:
-a registry method name, constructor options and a display label.  Specs
-are plain dataclasses of primitives, so they pickle cheaply across
-process boundaries; the engine builds a fresh solver from the spec for
-every run (:meth:`SolverSpec.build_solver`) and drives it through the
-session protocol, ``solver.start(request).run()``.
+a registry method name, constructor options, a display label and an
+optional wall-clock budget per run.  Specs are plain dataclasses of
+primitives, so they pickle cheaply across process boundaries; the
+engine builds a fresh solver from the spec for every run
+(:meth:`SolverSpec.build_solver`) and drives it through the session
+protocol, ``solver.start(request).run()``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.bench.registry import (
-    METAHEURISTICS,
-    budget_options,
-    canonical_method,
-)
+from repro.bench.registry import METAHEURISTICS, canonical_method
 
 __all__ = ["SolverSpec"]
 
@@ -34,11 +31,15 @@ class SolverSpec:
         Extra keyword arguments for the solver factory.
     label:
         Display name; defaults to the canonical method name.
+    time_budget:
+        Wall-clock seconds per run; the engine puts it in each run's
+        :class:`~repro.api.Budget` (``None``: run to completion).
     """
 
     method: str
     options: dict[str, Any] = field(default_factory=dict)
     label: str | None = None
+    time_budget: float | None = None
 
     def __post_init__(self) -> None:
         self.method = canonical_method(self.method)
@@ -55,17 +56,16 @@ class SolverSpec:
     ) -> "SolverSpec":
         """Build a spec with the standard budget/objective plumbing.
 
-        ``objective`` and ``time_budget`` are forwarded only to methods
-        that support them (the metaheuristics); the step/iteration caps
-        are lifted when a budget is given, so the budget is what stops
-        the run (``repro portfolio --budget``).
+        ``objective`` and ``time_budget`` are kept only for methods that
+        use them (the metaheuristics); a budget is what stops their runs
+        (``repro portfolio --budget``).
         """
         key = canonical_method(method)
-        opts = dict(options)
-        opts.update(budget_options(key, time_budget))
-        if objective is not None and key in METAHEURISTICS:
-            opts["objective"] = objective
-        return cls(method=key, options=opts)
+        if key not in METAHEURISTICS:
+            return cls(method=key, options=options)
+        if objective is not None:
+            options["objective"] = objective
+        return cls(method=key, options=options, time_budget=time_budget)
 
     def build_solver(self, k: int):
         """A fresh :class:`repro.api.Solver` for ``k`` parts."""

@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike, ensure_rng
-from repro.common.timer import Deadline
 from repro.fusionfission.energy import ScaledEnergy
 from repro.fusionfission.laws import FISSION, FUSION, LawTable
 from repro.fusionfission.operators import (
@@ -256,14 +255,13 @@ class FusionFissionRun:
     laws:
         Ejection law table, shared with the initialisation so learning
         persists (default: fresh table).
-    max_steps, time_budget:
-        Stopping criteria — whichever hits first.
+    max_steps:
+        Step cap (``None``: no cap, run until the session pauses).
     max_parts_factor:
         Hard ceiling ``max_parts = factor * k_target`` on the atom count
         (keeps hot phases from shattering the molecule).
     initial:
-        Starting molecule; default runs :func:`initialize_molecule`
-        with ``init_cascade``.
+        Starting molecule; default runs :func:`initialize_molecule`.
     on_improvement:
         Callback ``(raw_objective, partition)`` fired when the best
         molecule *at the target k* improves (sessions turn it into
@@ -284,13 +282,11 @@ class FusionFissionRun:
         energy: ScaledEnergy,
         schedule: TemperatureSchedule | None = None,
         laws: LawTable | None = None,
-        max_steps: int = 5000,
-        time_budget: float | None = None,
+        max_steps: int | None = 5000,
         max_parts_factor: float = 2.0,
         seed: SeedLike = None,
         initial: Partition | None = None,
         on_improvement: Callable[[float, Partition], None] | None = None,
-        init_cascade: str = "law",
         on_phase: Callable[[str], None] | None = None,
     ) -> None:
         n = graph.num_vertices
@@ -309,18 +305,12 @@ class FusionFissionRun:
             k_target + 1, int(round(max_parts_factor * k_target))
         )
         self.ideal_size = n / k_target
-        self.deadline = Deadline(time_budget)
         self.on_improvement = on_improvement
         self.on_phase = on_phase
 
         if initial is None:
             initial = initialize_molecule(
-                graph,
-                k_target,
-                self.laws,
-                energy,
-                seed=self.rng,
-                cascade=init_cascade,
+                graph, k_target, self.laws, energy, seed=self.rng
             )
         self.current = initial
         current_raw = energy.raw(self.current)
@@ -352,8 +342,8 @@ class FusionFissionRun:
                 self.on_improvement(raw, self.best_at_target)
 
     def step(self) -> bool:
-        """One Algorithm-1 step; False once the step cap or deadline hit."""
-        if self.steps >= self.max_steps or self.deadline.expired():
+        """One Algorithm-1 step; False once the step cap is hit."""
+        if self.max_steps is not None and self.steps >= self.max_steps:
             return False
         self.steps += 1
         current, rng, energy = self.current, self.rng, self.energy

@@ -2,7 +2,7 @@
 
 :class:`FusionFissionPartitioner` exposes the paper's five parameters
 (``tmax``, ``tmin``, ``nbt``, and the ``k``/``r`` constants of α(t), here
-``alpha_slope``/``alpha_offset``) plus engineering knobs (step/time budget,
+``alpha_slope``/``alpha_offset``) plus engineering knobs (step cap,
 objective, law learning rate).  Ablation switches — turning off the
 binding-energy scaling, law learning, restarts, or percolation-based
 fission — are provided for the design-choice benchmarks listed in
@@ -45,8 +45,8 @@ class FusionFissionPartitioner:
         in α(t) for the choice function").
     law_learning_rate:
         The reinforcement "input value" of §4.1.
-    max_steps, time_budget:
-        Stopping criteria.
+    max_steps:
+        Step cap, lifted while the session has a wall-clock budget.
     scale_energy:
         Ablation: set False to optimise the raw objective without the
         binding-energy curve (the search then collapses toward few parts).
@@ -54,11 +54,6 @@ class FusionFissionPartitioner:
         Ablation: set False to keep ejection laws uniform.
     max_parts_factor:
         Ceiling on part count as a multiple of ``k``.
-    init_cascade:
-        Algorithm-2 strategy: ``"law"`` (exact historical cascade),
-        ``"matched"`` (vectorized heavy-edge prelude) or ``"auto"``
-        (matched on graphs of ≥ 4096 vertices, exact loop below — small
-        seeded runs stay bit-identical to the historical behaviour).
     """
 
     k: int
@@ -70,11 +65,9 @@ class FusionFissionPartitioner:
     alpha_offset: float = 0.5
     law_learning_rate: float = 0.05
     max_steps: int = 4000
-    time_budget: float | None = None
     scale_energy: bool = True
     learn_laws: bool = True
     max_parts_factor: float = 1.4
-    init_cascade: str = "auto"
 
     name = "fusion-fission"
     #: Iterative family: sessions may run island-model (`islands > 1`).
@@ -134,8 +127,7 @@ class FusionFissionPartitioner:
         if state is None:
             session._set_phase("initialize")
             initial = initialize_molecule(
-                graph, k, laws, energy, seed=session.rng,
-                cascade=self.init_cascade,
+                graph, k, laws, energy, seed=session.rng, cascade="auto"
             )
         else:
             # The placeholder skips Algorithm 2 so the restored rng stream
@@ -151,8 +143,7 @@ class FusionFissionPartitioner:
             energy,
             schedule=self._schedule(),
             laws=laws,
-            max_steps=self.max_steps,
-            time_budget=self.time_budget,
+            max_steps=None if session.open_ended else self.max_steps,
             max_parts_factor=self.max_parts_factor,
             seed=session.rng,
             initial=initial,

@@ -77,7 +77,6 @@ class JobSpec:
     k: int = 2
     method: str = "fusion-fission"
     objective: str | None = None
-    balance_tolerance: float | None = None
     seed: int = 0
     max_iterations: int | None = None
     islands: int = 1
@@ -98,7 +97,7 @@ class JobSpec:
             )
         known = {
             "tenant", "instance", "graph", "graph_seed", "k", "method",
-            "objective", "balance_tolerance", "seed", "max_iterations",
+            "objective", "seed", "max_iterations",
             "islands", "migration_interval", "options", "name", "weight",
         }
         unknown = sorted(set(payload) - known)
@@ -183,10 +182,6 @@ class JobSpec:
                     str(payload.get("method", "fusion-fission"))
                 ),
                 objective=objective,
-                balance_tolerance=(
-                    None if payload.get("balance_tolerance") is None
-                    else float(payload["balance_tolerance"])
-                ),
                 seed=int(payload.get("seed", 0)),
                 max_iterations=max_iterations,
                 islands=int(payload.get("islands", 1)),
@@ -242,7 +237,6 @@ class JobSpec:
             "method": self.method,
             "k": self.k,
             "objective": self.objective,
-            "balance_tolerance": self.balance_tolerance,
             "seed": self.seed,
             "max_iterations": self.max_iterations,
             "islands": self.islands,
@@ -259,7 +253,6 @@ class JobSpec:
             "k": self.k,
             "method": self.method,
             "objective": self.objective,
-            "balance_tolerance": self.balance_tolerance,
             "seed": self.seed,
             "max_iterations": self.max_iterations,
             "islands": self.islands,
@@ -281,7 +274,6 @@ class JobSpec:
             k=int(data["k"]),
             method=data["method"],
             objective=data.get("objective"),
-            balance_tolerance=data.get("balance_tolerance"),
             seed=int(data.get("seed", 0)),
             max_iterations=data.get("max_iterations"),
             islands=int(data.get("islands", 1)),

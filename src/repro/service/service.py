@@ -213,7 +213,12 @@ class SolveService:
         status/result endpoints behave identically for hot and cold
         queries.
         """
+        from repro.api import get_solver
+
         spec = JobSpec.from_payload(payload)
+        # Options the method does not take fail here, not at the first
+        # slice.
+        get_solver(spec.method, spec.k, **dict(spec.options))
         if spec.weight is not None:
             self.scheduler.set_weight(spec.tenant, spec.weight)
         graph, fingerprint = self._graph_for(spec)
@@ -432,18 +437,13 @@ class SolveService:
 
     def _fresh_session(self, job: Job, graph: Graph):
         from repro.api import SolveRequest, get_solver
-        from repro.bench.registry import METAHEURISTICS
 
         spec = job.spec
-        options = dict(spec.options)
-        if spec.objective is not None and spec.method in METAHEURISTICS:
-            options.setdefault("objective", spec.objective)
-        solver = get_solver(spec.method, spec.k, **options)
+        solver = get_solver(spec.method, spec.k, **dict(spec.options))
         return solver.start(SolveRequest(
             graph=graph,
             k=spec.k,
             objective=spec.objective,
-            balance_tolerance=spec.balance_tolerance,
             seed=spec.seed,
             name=spec.name,
             islands=spec.islands,

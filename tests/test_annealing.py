@@ -9,7 +9,7 @@ from repro.annealing import (
     LinearCooling,
     SimulatedAnnealingPartitioner,
 )
-from repro.api import EVENT_INCUMBENT, SolveRequest, solve
+from repro.api import EVENT_INCUMBENT, Budget, SolveRequest, solve
 from repro.common.exceptions import ConfigurationError
 from repro.graph import grid_graph, weighted_caveman_graph
 from repro.partition import McutObjective, Partition
@@ -87,17 +87,20 @@ class TestAnneal:
         # Must terminate promptly even with huge temperature range.
         run_to_end(start, tmax=100.0, max_steps=100, seed=0)
 
-    def test_time_budget_reheats(self, rng):
+    def test_time_budget_reheats(self):
         g = grid_graph(6, 6)
-        start = Partition(g, rng.integers(0, 3, 36))
-        import time
-
-        t0 = time.perf_counter()
-        run_to_end(start, tmax=0.5, time_budget=0.5, equilibrium_refusals=2,
-                   seed=0)
-        elapsed = time.perf_counter() - t0
+        solver = SimulatedAnnealingPartitioner(
+            k=3, tmax=0.5, equilibrium_refusals=2
+        )
+        frozen = solver.start(SolveRequest(graph=g, k=3, seed=0)).run()
+        assert frozen.status == "done"
+        budgeted = solver.start(SolveRequest(
+            graph=g, k=3, seed=0, budget=Budget(max_seconds=0.5)
+        )).run()
         # With reheating the budget is used (not frozen after ~ms).
-        assert 0.3 <= elapsed <= 5.0
+        assert budgeted.status == "running"
+        assert 0.45 <= budgeted.seconds <= 5.0
+        assert budgeted.iterations > frozen.iterations
 
     def test_callback_fires_decreasing(self):
         # Percolation starts SA close to optimal on small caveman graphs;

@@ -33,6 +33,15 @@ FAMILY_OPTIONS = {
 }
 
 
+#: Caps that end each metaheuristic well inside a 0.5 s budget unless
+#: the budget lifts them (annealing freezes after a few hundred moves).
+SHORT_CAPS = {
+    "simulated-annealing": {"equilibrium_refusals": 2},
+    "ant-colony": {"iterations": 4},
+    "fusion-fission": {"max_steps": 64},
+}
+
+
 @pytest.fixture(scope="module")
 def graph():
     return weighted_caveman_graph(4, 6)
@@ -113,6 +122,15 @@ class TestCheckpointResume:
         checkpoint = session.checkpoint()
         checkpoint["method"] = "multilevel"
         with pytest.raises(CheckpointError):
+            resume(graph, checkpoint)
+
+    def test_solver_time_budget_in_checkpoint_is_refused(self, graph):
+        session = get_solver("simulated-annealing", 4).start(_request(graph))
+        checkpoint = json.loads(json.dumps(session.checkpoint()))
+        checkpoint["options"]["time_budget"] = None  # as older ones store
+        assert resume(graph, checkpoint).iteration == 0
+        checkpoint["options"]["time_budget"] = 2.0
+        with pytest.raises(CheckpointError, match="session budget"):
             resume(graph, checkpoint)
 
     def test_bad_schema_rejected(self, graph):
@@ -230,14 +248,33 @@ class TestBudgetsAndCancellation:
         )
 
     def test_time_budget_pauses(self, graph):
-        # An always-reheating SA (time_budget=inf-like) would never stop;
-        # the session budget must preempt it cooperatively.
-        session = get_solver(
-            "simulated-annealing", 4, time_budget=60.0
-        ).start(_request(graph, seed=0, budget=Budget(max_seconds=0.2)))
+        # Under a session budget SA reheats instead of freezing, so it
+        # would never stop; the budget must preempt it cooperatively.
+        session = get_solver("simulated-annealing", 4).start(
+            _request(graph, seed=0, budget=Budget(max_seconds=0.2))
+        )
         report = session.run()
         assert report.status == "running"
-        assert report.seconds < 10.0  # stopped at a chunk boundary, not 60s
+        assert report.seconds < 10.0  # stopped at a chunk boundary
+
+    @pytest.mark.parametrize("method", sorted(SHORT_CAPS))
+    def test_sliced_run_stops_at_the_budget(self, method):
+        """The budget lifts the caps and counts cumulative solve time
+        across JSON checkpoint/resume cycles: 0.1 s slices of a 0.5 s
+        budget pause at 0.5 s, however often the stepper is rebuilt."""
+        graph = weighted_caveman_graph(6, 8)
+        budget = Budget(max_seconds=0.5)
+        session = get_solver(method, 6, **SHORT_CAPS[method]).start(
+            SolveRequest(graph=graph, k=6, seed=0, budget=budget)
+        )
+        while session.elapsed() < budget.max_seconds:
+            report = session.run(max_seconds=session.elapsed() + 0.1)
+            assert report.status == "running", report.status
+            checkpoint = json.loads(json.dumps(session.checkpoint()))
+            session = resume(graph, checkpoint, budget=budget)
+        report = session.run()
+        assert report.status == "running"
+        assert 0.45 <= report.seconds <= 1.0
 
     def test_cancel_from_observer(self, graph):
         session = get_solver("simulated-annealing", 4, max_steps=10**6).start(
@@ -278,9 +315,25 @@ class TestRequestValidation:
         with pytest.raises(ConfigurationError):
             Budget(max_iterations=-1)
 
-    def test_bad_balance_tolerance(self, graph):
-        with pytest.raises(ConfigurationError):
-            SolveRequest(graph=graph, k=2, balance_tolerance=0.0)
+    @pytest.mark.parametrize("method", sorted(FAMILY_OPTIONS))
+    def test_solver_built_for_another_k(self, method):
+        graph = weighted_caveman_graph(8, 6)
+        with pytest.raises(ConfigurationError, match="k=4"):
+            get_solver(method, 4).start(SolveRequest(graph=graph, k=8))
+
+    def test_balance_tolerance_reaches_multilevel(self):
+        from repro.workloads import build_instance
+
+        graph = build_instance("powerlaw-200")
+        report = solve(
+            graph, 8, "multilevel", seed=0, balance_tolerance=0.01
+        )
+        direct = get_solver("multilevel", 8, balance_tolerance=0.01).start(
+            SolveRequest(graph=graph, k=8, seed=0)
+        ).run()
+        default = solve(graph, 8, "multilevel", seed=0)
+        assert np.array_equal(report.assignment, direct.assignment)
+        assert not np.array_equal(report.assignment, default.assignment)
 
 
 class TestRegistryErrorUX:
@@ -300,6 +353,14 @@ class TestRegistryErrorUX:
         with pytest.raises(ConfigurationError) as err:
             canonical_method("fusionfissio")
         assert "did you mean" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "options", [{"bogus": 1}, {"time_budget": 1.0}],
+        ids=["bogus", "time_budget"],
+    )
+    def test_unknown_option_names_the_method(self, options):
+        with pytest.raises(ConfigurationError, match="simulated-annealing"):
+            get_solver("sa", 4, **options)
 
 
 class TestEngineTelemetry:

@@ -77,13 +77,13 @@ class TestSolverSpec:
 
     def test_for_method_budget_plumbing(self):
         spec = SolverSpec.for_method("ff", objective="cut", time_budget=1.0)
-        assert spec.options["time_budget"] == 1.0
-        assert spec.options["max_steps"] == 10**9
-        assert spec.options["objective"] == "cut"
+        assert spec.time_budget == 1.0
+        assert spec.options == {"objective": "cut"}
         # Non-metaheuristics ignore budget/objective.
         spec = SolverSpec.for_method("multilevel", objective="cut",
                                      time_budget=1.0)
         assert spec.options == {}
+        assert spec.time_budget is None
 
 
 class TestRunnerDeterminism:
@@ -167,6 +167,24 @@ class TestFailuresAndDeadline:
         assert "ConfigurationError" in by_method["spectral"].error
         assert by_method["multilevel"].ok
         assert result.best.method == "multilevel"
+
+    def test_unknown_option_is_a_config_failure(self, problem):
+        result = PortfolioRunner(
+            [SolverSpec("sa", options={"bogus": 1})],
+            num_seeds=1, jobs=1, seed=0,
+        ).run(problem)
+        (record,) = result.records
+        assert record.error_kind == "config"
+        assert "simulated-annealing" in record.error
+
+    def test_spec_budget_pause_is_the_runs_normal_end(self, problem):
+        spec = SolverSpec.for_method("sa", time_budget=0.3)
+        (record,) = PortfolioRunner(
+            [spec], num_seeds=1, jobs=1, seed=0, task_timeout=30.0
+        ).run(problem).records
+        assert record.ok
+        assert record.fault_trace == []
+        assert record.seconds >= 0.3
 
     def test_dead_worker_becomes_error_record(self, problem):
         # An injected crash os._exit()s the worker, skipping

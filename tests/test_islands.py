@@ -27,6 +27,13 @@ FAST_OPTS = {
     "ant-colony": {"iterations": 6, "num_ants": 4, "daemon_moves": 20},
     "fusion-fission": {"max_steps": 200},
 }
+#: caps that end each family well inside a 0.5 s budget unless the
+#: budget lifts them (annealing freezes after a few hundred moves)
+SHORT_CAPS = {
+    "annealing": {"equilibrium_refusals": 2},
+    "ant-colony": {"iterations": 4},
+    "fusion-fission": {"max_steps": 64},
+}
 
 
 @pytest.fixture
@@ -146,6 +153,21 @@ class TestParallelMode:
         assert np.array_equal(
             serial.partition.assignment, parallel.partition.assignment
         )
+
+    @pytest.mark.parametrize("island_jobs", [1, 2])
+    @pytest.mark.parametrize("method", ITERATIVE)
+    def test_budget_stops_serial_and_pool_islands(self, method, island_jobs):
+        """The wall-clock budget lifts the caps of every island and
+        counts cumulative solve time, so a pool run, whose islands are
+        rebuilt from checkpoints every round, stops at it just like the
+        serial one."""
+        report = solve(
+            weighted_caveman_graph(6, 8), 6, method=method, seed=0,
+            islands=2, migration_interval=2, island_jobs=island_jobs,
+            budget=Budget(max_seconds=0.5), **SHORT_CAPS[method],
+        )
+        assert report.status == "running"
+        assert 0.45 <= report.seconds <= 1.0
 
     @pytest.mark.parametrize("method", ITERATIVE)
     def test_island_jobs_on_float_weights(self, method):

@@ -129,6 +129,9 @@ class TestJobSpec:
     def test_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError, match="unknown submit"):
             JobSpec.from_payload(ring_payload(frobnicate=1))
+        # The tolerance is a multilevel option, not a request field.
+        with pytest.raises(ConfigurationError, match="unknown submit"):
+            JobSpec.from_payload(ring_payload(balance_tolerance=0.05))
 
     def test_requires_exactly_one_graph_source(self):
         with pytest.raises(ConfigurationError, match="exactly one"):
@@ -253,6 +256,18 @@ class TestServiceEndToEnd:
         service = SolveService(iter_sliced_config(tmp_path))
         with pytest.raises(ConfigurationError):
             service.submit({"graph": {"n": 4, "edges": []}, "k": 0})
+        assert service.jobs == {}
+
+    @pytest.mark.parametrize(
+        "options", [{"bogus": 1}, {"time_budget": 1.0}],
+        ids=["bogus", "time_budget"],
+    )
+    def test_submit_refuses_options_the_method_does_not_take(
+        self, tmp_path, options
+    ):
+        service = SolveService(iter_sliced_config(tmp_path))
+        with pytest.raises(ConfigurationError, match="simulated-annealing"):
+            service.submit(ring_payload(method="sa", options=options))
         assert service.jobs == {}
 
     def test_fairness_under_concurrent_jobs(self, tmp_path):

@@ -83,6 +83,13 @@ class TestHTTPEndpoints:
             client.submit({"k": 2})
         assert excinfo.value.code == 400
 
+    def test_submit_with_unknown_solver_option_is_400(self, server):
+        client, _, _ = server
+        with pytest.raises(ServiceHTTPError) as excinfo:
+            client.submit(ring_payload(method="sa", options={"bogus": 1}))
+        assert excinfo.value.code == 400
+        assert client.stats()["jobs"]["total"] == 0
+
     def test_sse_stream_replays_and_ends_with_card(self, server):
         client, _, _ = server
         card = client.submit(ring_payload(seed=9))
