@@ -40,8 +40,7 @@ from repro.common.rng import SeedLike, ensure_rng
 from repro.graph.graph import Graph
 from repro.partition.objectives import Objective, get_objective
 from repro.partition.partition import Partition
-from repro.api.request import SolveRequest
-from repro.api.session import SolveSession
+from repro.api.session import SolveSession, Solver
 
 __all__ = ["SimulatedAnnealingPartitioner", "AnnealRun"]
 
@@ -277,7 +276,7 @@ class AnnealRun:
 
 
 @dataclass
-class SimulatedAnnealingPartitioner:
+class SimulatedAnnealingPartitioner(Solver):
     """Table 1's "Simulated annealing" row.
 
     Starts from the percolation partition (paper §4.4: percolation
@@ -305,12 +304,6 @@ class SimulatedAnnealingPartitioner:
     name = "simulated-annealing"
     #: Iterative family: sessions may run island-model (`islands > 1`).
     supports_islands = True
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return SolveSession(self, request, checkpoint)
 
     def stepper(
         self, session: SolveSession, state: dict | None = None

@@ -38,8 +38,7 @@ from repro.graph.graph import Graph
 from repro.antcolony.pheromone import PheromoneField
 from repro.partition.objectives import Objective, get_objective
 from repro.partition.partition import Partition
-from repro.api.request import SolveRequest
-from repro.api.session import SolveSession
+from repro.api.session import SolveSession, Solver
 
 __all__ = ["AntColonyPartitioner", "AntColonyRun"]
 
@@ -337,7 +336,7 @@ class AntColonyRun:
 
 
 @dataclass
-class AntColonyPartitioner:
+class AntColonyPartitioner(Solver):
     """Table 1's "Ant colony" row — runs :class:`AntColonyRun` with the
     paper's four tuning parameters (ants per colony, walk length,
     evaporation, deposit) exposed first.
@@ -359,12 +358,6 @@ class AntColonyPartitioner:
     name = "ant-colony"
     #: Iterative family: sessions may run island-model (`islands > 1`).
     supports_islands = True
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return SolveSession(self, request, checkpoint)
 
     def stepper(
         self, session: SolveSession, state: dict | None = None

@@ -57,11 +57,6 @@ class PheromoneField:
         """Number of undirected edges carrying pheromone."""
         return self.values.shape[1]
 
-    def incident_edges(self, vertex: int) -> np.ndarray:
-        """Undirected edge ids incident to ``vertex`` (CSR slice view)."""
-        lo, hi = self.graph.indptr[vertex], self.graph.indptr[vertex + 1]
-        return self.arc_edge[lo:hi]
-
     def deposit(self, colony: int, edges: np.ndarray, amount: float) -> None:
         """Add ``amount`` of pheromone for ``colony`` on each edge id."""
         np.add.at(self.values[colony], edges, amount)

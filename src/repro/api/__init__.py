@@ -4,8 +4,8 @@ One stable, introspectable, interruptible programmatic surface over all
 six partitioner families (fusion–fission, multilevel, simulated
 annealing, ant colony, spectral/linear, percolation):
 
-* :class:`Solver` protocol — ``solver.start(request) -> SolveSession``;
-  every registered partitioner implements it, and a session is the only
+* :class:`Solver` base class — ``solver.start(request) -> SolveSession``;
+  every registered partitioner subclasses it, and a session is the only
   way to run one (:func:`get_solver` builds them by registry name).
 * :class:`SolveRequest` / :class:`SolveReport` — the request/response
   dataclasses (graph, k, objective, seed, budgets).
@@ -39,7 +39,7 @@ Streaming, budgets and checkpointing::
         session = resume(graph, ck)           # later / elsewhere
         report = session.run()                # identical final partition
 
-See ``docs/api.md`` for the full protocol, event and checkpoint formats.
+See ``docs/api.md`` for the full solver, event and checkpoint formats.
 """
 
 from repro.api.events import (
@@ -55,7 +55,7 @@ from repro.api.events import (
     JsonlEventWriter,
     SolveEvent,
 )
-from repro.api.facade import Solver, get_solver, resume, solve
+from repro.api.facade import get_solver, resume, solve
 from repro.api.islands import IslandGroup
 from repro.api.request import (
     STATUS_CANCELLED,
@@ -69,6 +69,7 @@ from repro.api.request import (
 from repro.api.session import (
     CHECKPOINT_SCHEMA,
     SolveSession,
+    Solver,
     decode_rng,
     encode_rng,
 )

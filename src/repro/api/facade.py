@@ -9,39 +9,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.common.exceptions import CheckpointError, ConfigurationError
 from repro.common.rng import SeedLike
 from repro.graph.graph import Graph
 from repro.api.events import SolveEvent
 from repro.api.request import Budget, SolveReport, SolveRequest
-from repro.api.session import CHECKPOINT_SCHEMA, SolveSession
+from repro.api.session import CHECKPOINT_SCHEMA, SolveSession, Solver
 
-__all__ = ["Solver", "get_solver", "solve", "resume"]
-
-
-@runtime_checkable
-class Solver(Protocol):
-    """The one protocol every partitioner family implements.
-
-    ``start`` opens a :class:`~repro.api.session.SolveSession` for a
-    request (optionally resuming a checkpoint); the session gets the
-    object it drives from ``stepper`` (see :mod:`repro.api.session`);
-    ``name`` is the canonical registry name.
-    """
-
-    name: str
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        ...
-
-    def stepper(
-        self, session: SolveSession, state: dict | None = None
-    ) -> Any:
-        ...
+__all__ = ["get_solver", "solve", "resume"]
 
 
 def get_solver(method: str, k: int, **options: Any) -> Solver:

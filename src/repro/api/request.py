@@ -21,6 +21,7 @@ from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike
 from repro.graph.graph import Graph
 from repro.partition.metrics import PartitionReport
+from repro.partition.objectives import get_objective
 from repro.partition.partition import Partition
 
 __all__ = [
@@ -120,7 +121,8 @@ class SolveRequest:
         Target number of parts.
     objective:
         Criterion for the metaheuristics (``"cut"``/``"ncut"``/
-        ``"mcut"``); ``None`` keeps each solver's configured default.
+        ``"mcut"``, case and surrounding blanks ignored; anything else
+        is refused); ``None`` keeps each solver's configured default.
         Direct constructions (linear, spectral, multilevel, percolation)
         ignore it, exactly as their constructors always have.
     seed:
@@ -177,6 +179,7 @@ class SolveRequest:
             )
         if self.objective is not None:
             self.objective = str(self.objective).strip().lower()
+            get_objective(self.objective)
         if self.budget is None:
             self.budget = Budget()
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:

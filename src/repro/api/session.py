@@ -94,6 +94,7 @@ from repro.partition.metrics import evaluate_partition
 from repro.partition.partition import Partition
 
 __all__ = [
+    "Solver",
     "SolveSession",
     "OneShotStepper",
     "CHECKPOINT_SCHEMA",
@@ -189,13 +190,13 @@ class SolveSession:
 
     def __init__(
         self,
-        solver: Any,
+        solver: Solver,
         request: SolveRequest,
         checkpoint: dict | None = None,
     ) -> None:
         self.solver = solver
         self.request = request
-        self.method: str = getattr(solver, "name", type(solver).__name__)
+        self.method: str = solver.name
         self.status: str = STATUS_RUNNING
         self.iteration = 0
         self.events_emitted = 0
@@ -204,20 +205,7 @@ class SolveSession:
         self._heartbeat = Ticker(request.heartbeat_interval)
         self._elapsed_offset = 0.0
         self._clock_start: float | None = time.perf_counter()
-        if solver.k != request.k:
-            raise ConfigurationError(
-                f"solver {self.method!r} was built for k={solver.k}, "
-                f"the request asks k={request.k}"
-            )
-        if request.islands > 1 and not getattr(
-            solver, "supports_islands", False
-        ):
-            raise ConfigurationError(
-                f"method {self.method!r} does not support island-model "
-                f"execution (requested islands={request.islands}); only "
-                "the iterative families (simulated-annealing, ant-colony, "
-                "fusion-fission) do"
-            )
+        solver.check_request(request)
         if checkpoint is None:
             self.rng = ensure_rng(request.seed)
             self.stepper = self._build_stepper(None)
@@ -573,8 +561,8 @@ class OneShotStepper:
     iteration captures only the rng state (resume recomputes the whole
     construction from it, bit-identically); a checkpoint taken after
     carries the finished assignment.  The construction itself is the
-    solver's ``partition(graph, seed)``; such a solver declares
-    ``stepper = OneShotStepper`` as its factory.
+    solver's ``partition(graph, seed)``; this class is the
+    :class:`Solver` default ``stepper`` factory.
     """
 
     def __init__(
@@ -613,3 +601,43 @@ class OneShotStepper:
 
     def close(self) -> None:
         """Nothing to release."""
+
+
+class Solver:
+    """Base class of every partitioner family.
+
+    A subclass is a dataclass whose fields are the family's parameters
+    (``k`` first), with a registry ``name``.  An iterative family writes
+    ``stepper(session, state=None)``, the factory the session drives; a
+    one-shot family writes only ``partition(graph, seed)`` and keeps the
+    default :class:`OneShotStepper`.
+    """
+
+    name: str
+    k: int
+    #: Only the iterative families run island-model (``islands > 1``).
+    supports_islands = False
+    #: The session's stepper factory (see the module docstring).
+    stepper = OneShotStepper
+
+    def start(
+        self, request: SolveRequest, checkpoint: dict | None = None
+    ) -> SolveSession:
+        """Open a session for ``request``, or resume ``checkpoint``."""
+        return SolveSession(self, request, checkpoint)
+
+    def check_request(self, request: SolveRequest) -> None:
+        """Refuse a request this solver cannot run: another ``k``, or
+        islands on a family without them."""
+        if self.k != request.k:
+            raise ConfigurationError(
+                f"solver {self.name!r} was built for k={self.k}, "
+                f"the request asks k={request.k}"
+            )
+        if request.islands > 1 and not self.supports_islands:
+            raise ConfigurationError(
+                f"method {self.name!r} does not support island-model "
+                f"execution (requested islands={request.islands}); only "
+                "the iterative families (simulated-annealing, ant-colony, "
+                "fusion-fission) do"
+            )

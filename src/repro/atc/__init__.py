@@ -9,7 +9,7 @@ The paper's instance (762 sectors, 3 165 flow edges) is built from
 proprietary Eurocontrol data; :func:`repro.atc.europe.core_area_graph`
 generates a synthetic stand-in with the same vertex/edge counts, geographic
 community structure and heavy-tailed flow weights (the substitution is
-documented in DESIGN.md §2).
+documented in ``docs/paper_mapping.md``).
 """
 
 from repro.atc.sectors import Sector, SectorNetwork

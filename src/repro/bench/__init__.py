@@ -21,7 +21,7 @@ from repro.bench.registry import (
     list_methods,
     table1_methods,
 )
-from repro.bench.harness import MethodResult, run_method, run_suite, format_table
+from repro.bench.harness import run_suite, format_table
 
 __all__ = [
     "canonical_method",
@@ -30,8 +30,6 @@ __all__ = [
     "METHOD_FACTORIES",
     "METHOD_ALIASES",
     "METHOD_SUMMARIES",
-    "MethodResult",
-    "run_method",
     "run_suite",
     "format_table",
 ]

@@ -111,9 +111,9 @@ def reference_lines(
         spec for spec in table1_methods(k=k)
         if spec.label.split(" ")[0].lower() in best
     ]
-    for result in run_suite(selected, graph, k, seed=seed, jobs=jobs):
-        family = result.label.split(" ")[0].lower()
-        best[family] = min(best[family], result.mcut)
+    for record in run_suite(selected, graph, k, seed=seed, jobs=jobs):
+        family = record.label.split(" ")[0].lower()
+        best[family] = min(best[family], record.report.mcut)
     return best
 
 

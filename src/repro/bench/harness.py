@@ -2,106 +2,21 @@
 
 A suite is a list of labelled :class:`~repro.engine.SolverSpec` rows
 (:func:`repro.bench.table1_methods` builds the paper's).  :func:`run_suite`
-is a thin adapter over :class:`repro.engine.PortfolioRunner`: the rows
-execute on the engine — sequentially by default, or on a process pool
-with ``jobs > 1`` (the Table-1/Figure-1 benches pass ``--jobs`` through
-and get multi-core for free).  Seed derivation is unchanged from the
-pre-engine harness: one generator spawned per row, in row order.
-
-Both paths run on the :mod:`repro.api` session layer —
-:func:`run_method` drives one row as
-``spec.build_solver(k).start(request).run()``, and the engine's
-``execute_task`` does the same per grid cell.
+runs them on :class:`repro.engine.PortfolioRunner` — sequentially by
+default, or on a process pool with ``jobs > 1`` (the Table-1/Figure-1
+benches pass ``--jobs`` through) — and returns the engine's
+:class:`~repro.engine.RunRecord` per row; a record's ``report`` holds
+the row's Cut/Ncut/Mcut.  One generator is spawned per row, in row
+order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.exceptions import ReproError
 from repro.common.rng import SeedLike, ensure_rng
-from repro.common.timer import Timer
 from repro.graph.graph import Graph
 
-__all__ = [
-    "MethodResult",
-    "instance_graph",
-    "run_method",
-    "run_suite",
-    "format_table",
-]
-
-
-def instance_graph(name: str, seed: SeedLike = None) -> Graph:
-    """Build a registered workload instance's graph for a bench run.
-
-    Thin lazy-import shim over :func:`repro.workloads.build_instance` so
-    the bench CLIs (``table1 --instance mesh-200``) can target any
-    registered family without importing the workloads catalog at module
-    load.  Name resolution (aliases, did-you-mean) happens there.
-    """
-    from repro.workloads import build_instance
-
-    return build_instance(name, seed)
-
-
-@dataclass
-class MethodResult:
-    """One Table-1 row: a method's Cut/Ncut/Mcut on a graph.
-
-    ``cut`` follows the paper's convention (cross edges counted twice);
-    Table 1 prints it divided by 1000.
-    """
-
-    label: str
-    cut: float
-    ncut: float
-    mcut: float
-    num_parts: int
-    seconds: float
-
-    def as_dict(self) -> dict:
-        """Plain-dict view for JSON dumps."""
-        return {
-            "label": self.label,
-            "cut": self.cut,
-            "ncut": self.ncut,
-            "mcut": self.mcut,
-            "num_parts": self.num_parts,
-            "seconds": self.seconds,
-        }
-
-
-def run_method(spec, graph: Graph, k: int, seed: SeedLike = None) -> MethodResult:
-    """Run one spec at ``k`` parts through the session API; score on all
-    criteria."""
-    from repro.api import Budget, SolveRequest
-
-    solver = spec.build_solver(k)
-    request = SolveRequest(
-        graph=graph, k=k, seed=seed, name=spec.label,
-        budget=Budget(max_seconds=spec.time_budget),
-    )
-    with Timer() as timer:
-        # The session report carries the full evaluate_partition metrics;
-        # no second scoring pass needed.
-        report = solver.start(request).run().metrics
-    return MethodResult(
-        label=spec.label,
-        cut=report.cut,
-        ncut=report.ncut,
-        mcut=report.mcut,
-        num_parts=report.num_parts,
-        seconds=timer.elapsed,
-    )
-
-
-def _format_progress(result: MethodResult) -> str:
-    return (
-        f"  {result.label:<28} Cut/1000={result.cut / 1000.0:>9.1f} "
-        f"Ncut={result.ncut:>7.2f} Mcut={result.mcut:>9.2f} "
-        f"[{result.seconds:.1f}s]"
-    )
+__all__ = ["run_suite", "format_table"]
 
 
 def run_suite(
@@ -111,12 +26,13 @@ def run_suite(
     seed: SeedLike = None,
     verbose: bool = False,
     jobs: int = 1,
-) -> list[MethodResult]:
+) -> list:
     """Run every labelled spec at ``k`` parts; one spawned seed per spec.
 
-    ``jobs > 1`` fans the suite out on the engine's process pool; results
-    (and their seeds) are identical to a sequential run, only wall-clock
-    changes.
+    Returns one successful :class:`~repro.engine.RunRecord` per spec, in
+    order; the first failed row raises :class:`ReproError`.  ``jobs > 1``
+    fans the suite out on the engine's process pool; results (and their
+    seeds) are identical to a sequential run, only wall-clock changes.
     """
     from repro.engine import PartitionProblem, PortfolioRunner
 
@@ -140,35 +56,27 @@ def run_suite(
                 f"[{kind}]: {record.error}"
             )
         if verbose:
-            print(_format_progress(_to_method_result(record)))
+            print(f"  {_table_row(record)} [{record.seconds:.1f}s]")
 
-    result = runner.run(problem, seed_grid=seed_grid, on_record=on_record)
-    return [_to_method_result(record) for record in result.records]
+    return runner.run(problem, seed_grid=seed_grid, on_record=on_record).records
 
 
-def _to_method_result(record) -> MethodResult:
+def _table_row(record) -> str:
     report = record.report
-    return MethodResult(
-        label=record.label,
-        cut=report.cut,
-        ncut=report.ncut,
-        mcut=report.mcut,
-        num_parts=report.num_parts,
-        seconds=record.seconds,
+    return (
+        f"{record.label:<28} {report.cut / 1000.0:>8.1f} "
+        f"{report.ncut:>8.2f} {report.mcut:>10.2f}"
     )
 
 
-def format_table(results: list[MethodResult], title: str = "") -> str:
-    """Render results in the paper's Table-1 layout (Cut divided by 1000)."""
+def format_table(records: list, title: str = "") -> str:
+    """Render run records in the paper's Table-1 layout (Cut divided by
+    1000)."""
     lines = []
     if title:
         lines.append(title)
     header = f"{'Method':<28} {'Cut':>8} {'Ncut':>8} {'Mcut':>10}"
     lines.append(header)
     lines.append("-" * len(header))
-    for r in results:
-        lines.append(
-            f"{r.label:<28} {r.cut / 1000.0:>8.1f} {r.ncut:>8.2f} "
-            f"{r.mcut:>10.2f}"
-        )
+    lines.extend(_table_row(record) for record in records)
     return "\n".join(lines)

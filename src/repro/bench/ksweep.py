@@ -4,8 +4,7 @@ returns good solutions from 27 to 38 partitions."
 A single fusion–fission run tracks the best raw objective at *every* part
 count it visits (:attr:`FusionFissionResult.best_by_k`, read from the
 finished session stepper's :meth:`FusionFissionRun.finalize`); this module
-reports that profile around the target and compares each k against a
-fixed-k baseline (multilevel where k is a power of two, greedy otherwise).
+reports that profile in a window around the target k.
 
 Run as a module::
 

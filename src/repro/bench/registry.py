@@ -1,7 +1,7 @@
 """Method registry: canonical names → solver factories.
 
-Every solver in the library implements the :class:`repro.api.Solver`
-protocol (``start(request) -> SolveSession``); the registry lets
+Every solver in the library subclasses :class:`repro.api.Solver`
+(``start(request) -> SolveSession``); the registry lets
 :func:`repro.api.get_solver`, the portfolio engine, the FABOP API and
 the benches instantiate them uniformly by name.
 :func:`canonical_method` resolves user-facing aliases (``annealing``,

@@ -15,12 +15,7 @@ import argparse
 import json
 
 from repro.atc.europe import core_area_graph
-from repro.bench.harness import (
-    MethodResult,
-    format_table,
-    instance_graph,
-    run_suite,
-)
+from repro.bench.harness import format_table, run_suite
 from repro.bench.registry import table1_methods
 from repro.common.rng import SeedLike
 
@@ -35,8 +30,9 @@ def run_table1(
     verbose: bool = False,
     jobs: int = 1,
     instance: str | None = None,
-) -> list[MethodResult]:
-    """Run the full Table-1 suite; returns one result per method row.
+) -> list:
+    """Run the full Table-1 suite; returns one
+    :class:`~repro.engine.RunRecord` per method row.
 
     ``jobs > 1`` runs the 17 rows on the portfolio engine's process pool
     (same seeds, same numbers, less wall-clock).  ``instance`` swaps the
@@ -45,7 +41,9 @@ def run_table1(
     """
     if graph is None:
         if instance is not None:
-            graph = instance_graph(instance, seed)
+            from repro.workloads import build_instance
+
+            graph = build_instance(instance, seed)
         else:
             graph = core_area_graph(seed=seed)
     specs = table1_methods(k=k, metaheuristic_budget=metaheuristic_budget)
@@ -90,7 +88,17 @@ def main(argv: list[str] | None = None) -> None:
             "config": {"k": args.k, "seed": args.seed,
                        "budget": args.budget, "jobs": args.jobs,
                        "instance": args.instance},
-            "results": [r.as_dict() for r in results],
+            "results": [
+                {
+                    "label": r.label,
+                    "cut": r.report.cut,
+                    "ncut": r.report.ncut,
+                    "mcut": r.report.mcut,
+                    "num_parts": r.report.num_parts,
+                    "seconds": r.seconds,
+                }
+                for r in results
+            ],
         }
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2)

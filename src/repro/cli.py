@@ -74,6 +74,7 @@ from repro.graph import (
     write_json,
     write_metis,
 )
+from repro.graph.io import graph_to_json
 from repro.partition import Partition, evaluate_partition
 
 __all__ = ["main", "read_graph_auto", "write_graph_auto"]
@@ -510,15 +511,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.instance:
         payload["instance"] = args.instance
     elif args.input:
-        graph = read_graph_auto(args.input)
-        us, vs, ws = graph.edge_arrays()
-        payload["graph"] = {
-            "n": graph.num_vertices,
-            "edges": [
-                [int(u), int(v), float(w)] for u, v, w in zip(us, vs, ws)
-            ],
-            "vertex_weights": graph.vertex_weights.tolist(),
-        }
+        payload["graph"] = graph_to_json(read_graph_auto(args.input))
         payload["name"] = Path(args.input).stem
     else:
         raise ReproError("submit needs a graph file or --instance NAME")

@@ -1,11 +1,11 @@
 """Random-number-generator plumbing.
 
-The repository-wide convention (see DESIGN.md §7) is that stochastic code
-never calls ``np.random`` module-level functions.  Instead each public entry
-point takes ``seed: int | np.random.Generator | None`` and normalises it with
-:func:`ensure_rng`; nested components receive independent child generators via
-:func:`spawn_rngs` so that adding a component never perturbs the random
-stream of its siblings.
+The repository-wide convention (see ``docs/paper_mapping.md``) is that
+stochastic code never calls ``np.random`` module-level functions.  Instead
+each public entry point takes ``seed: int | np.random.Generator | None``
+and normalises it with :func:`ensure_rng`; nested components receive
+independent child generators via :func:`spawn_rngs` so that adding a
+component never perturbs the random stream of its siblings.
 """
 
 from __future__ import annotations

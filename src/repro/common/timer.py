@@ -36,17 +36,6 @@ class Timer:
         assert self._start is not None
         self.elapsed = time.perf_counter() - self._start
 
-    def restart(self) -> None:
-        """Reset the stopwatch and start timing again."""
-        self._start = time.perf_counter()
-        self.elapsed = 0.0
-
-    def peek(self) -> float:
-        """Elapsed seconds since ``__enter__``/``restart`` without stopping."""
-        if self._start is None:
-            return self.elapsed
-        return time.perf_counter() - self._start
-
 
 class Ticker:
     """Rate limiter for periodic actions on a caller-supplied clock.

@@ -2,36 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError
-
-
-def check_positive_int(name: str, value: Any) -> int:
-    """Validate that ``value`` is an integer >= 1 and return it as ``int``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    return int(value)
-
-
-def check_nonnegative(name: str, value: Any) -> float:
-    """Validate that ``value`` is a finite number >= 0 and return it as float."""
-    v = float(value)
-    if not np.isfinite(v) or v < 0:
-        raise ConfigurationError(f"{name} must be finite and >= 0, got {value!r}")
-    return v
-
-
-def check_probability(name: str, value: Any) -> float:
-    """Validate that ``value`` lies in [0, 1] and return it as float."""
-    v = float(value)
-    if not (0.0 <= v <= 1.0):
-        raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
-    return v
 
 
 def check_temperature_range(tmin: float, tmax: float) -> tuple[float, float]:

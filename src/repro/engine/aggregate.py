@@ -223,7 +223,7 @@ class PortfolioResult:
         include_assignment: bool = False,
         include_best_assignment: bool = True,
     ) -> dict:
-        """The full JSON report (schema ``repro-portfolio/v2``).
+        """The full JSON report (schema ``repro-portfolio/v3``).
 
         The winning record carries its assignment by default;
         ``include_assignment=True`` additionally embeds the per-vertex

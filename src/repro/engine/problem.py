@@ -10,14 +10,13 @@ against its ``graph``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike
 from repro.graph.graph import Graph
-from repro.partition.metrics import PartitionReport, evaluate_partition
 from repro.partition.objectives import get_objective
 from repro.partition.partition import Partition
 
@@ -45,7 +44,6 @@ class PartitionProblem:
     k: int
     objective: str = "mcut"
     name: str = "graph"
-    _objective_fn: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -58,7 +56,7 @@ class PartitionProblem:
         # Normalise before anyone does getattr(report, objective): the
         # objective registry is case-insensitive, report fields are not.
         self.objective = str(self.objective).strip().lower()
-        self._objective_fn = get_objective(self.objective)
+        get_objective(self.objective)
 
     @classmethod
     def from_instance(
@@ -90,14 +88,6 @@ class PartitionProblem:
     def partition_from(self, assignment: np.ndarray) -> Partition:
         """Rebuild a :class:`Partition` from a worker's assignment array."""
         return Partition(self.graph, np.asarray(assignment, dtype=np.int64))
-
-    def score(self, partition: Partition) -> float:
-        """Raw objective value of ``partition`` (lower is better)."""
-        return float(self._objective_fn.value(partition))
-
-    def evaluate(self, assignment: np.ndarray) -> PartitionReport:
-        """Full paper-criteria report for an assignment array."""
-        return evaluate_partition(self.partition_from(assignment))
 
     def as_dict(self) -> dict:
         """Instance metadata for JSON reports (no graph payload)."""

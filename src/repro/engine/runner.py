@@ -206,7 +206,7 @@ def execute_task(
         if task.timeout is not None:
             heartbeat_interval = max(0.02, min(1.0, task.timeout / 4.0))
         islands = task.islands
-        if islands > 1 and not getattr(solver, "supports_islands", False):
+        if islands > 1 and not solver.supports_islands:
             # Graceful degradation: one-shot methods (spectral, multilevel,
             # ...) have no iteration loop to islandise — run them plain.
             trace.append(

@@ -5,8 +5,8 @@ a registry method name, constructor options, a display label and an
 optional wall-clock budget per run.  Specs are plain dataclasses of
 primitives, so they pickle cheaply across process boundaries; the
 engine builds a fresh solver from the spec for every run
-(:meth:`SolverSpec.build_solver`) and drives it through the session
-protocol, ``solver.start(request).run()``.
+(:meth:`SolverSpec.build_solver`) and drives it through a session,
+``solver.start(request).run()``.
 """
 
 from __future__ import annotations

@@ -3,10 +3,9 @@
 :class:`FusionFissionPartitioner` exposes the paper's five parameters
 (``tmax``, ``tmin``, ``nbt``, and the ``k``/``r`` constants of α(t), here
 ``alpha_slope``/``alpha_offset``) plus engineering knobs (step cap,
-objective, law learning rate).  Ablation switches — turning off the
-binding-energy scaling, law learning, restarts, or percolation-based
-fission — are provided for the design-choice benchmarks listed in
-DESIGN.md.
+objective, law learning rate) and two ablation switches that turn off
+the binding-energy scaling (``scale_energy``) and the law learning
+(``learn_laws``).  ``docs/paper_mapping.md`` maps each part to the paper.
 """
 
 from __future__ import annotations
@@ -21,14 +20,13 @@ from repro.fusionfission.laws import LawTable
 from repro.fusionfission.temperature import TemperatureSchedule
 from repro.graph.graph import Graph
 from repro.partition.partition import Partition
-from repro.api.request import SolveRequest
-from repro.api.session import SolveSession
+from repro.api.session import SolveSession, Solver
 
 __all__ = ["FusionFissionPartitioner"]
 
 
 @dataclass
-class FusionFissionPartitioner:
+class FusionFissionPartitioner(Solver):
     """Table 1's "Fusion Fission" row — the paper's contribution.
 
     Attributes
@@ -103,12 +101,6 @@ class FusionFissionPartitioner:
             alpha_slope=self.alpha_slope,
             alpha_offset=self.alpha_offset,
         )
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return SolveSession(self, request, checkpoint)
 
     def stepper(
         self, session: SolveSession, state: dict | None = None

@@ -155,6 +155,8 @@ class Graph:
         """
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
+        if vertex_weights is not None and np.shape(vertex_weights) != (n,):
+            raise GraphError(f"vertex_weights must have shape ({n},)")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -29,6 +30,8 @@ __all__ = [
     "write_edgelist",
     "read_json",
     "write_json",
+    "graph_to_json",
+    "graph_from_json",
 ]
 
 
@@ -134,28 +137,43 @@ def write_edgelist(graph: Graph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_json(path: str | Path) -> Graph:
-    """Read the JSON graph format produced by :func:`write_json`."""
-    data = json.loads(Path(path).read_text())
-    try:
-        n = int(data["n"])
-        edges = data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"{path}: JSON graph needs 'n' and 'edges'") from exc
-    vw = data.get("vertex_weights")
-    vertex_weights = np.asarray(vw, dtype=np.float64) if vw is not None else None
-    return Graph.from_edges(
-        n, [(int(u), int(v), float(w)) for u, v, w in edges],
-        vertex_weights=vertex_weights,
-    )
-
-
-def write_json(graph: Graph, path: str | Path) -> None:
-    """Write the graph as JSON (``n``, ``edges``, ``vertex_weights``)."""
+def graph_to_json(graph: Graph) -> dict:
+    """Encode ``graph`` in the JSON graph format: ``n``, ``edges`` as
+    ``[u, v, w]`` triples and ``vertex_weights``."""
     u, v, w = graph.edge_arrays()
-    payload = {
+    return {
         "n": graph.num_vertices,
         "edges": [[int(a), int(b), float(c)] for a, b, c in zip(u, v, w)],
         "vertex_weights": [float(x) for x in graph.vertex_weights],
     }
-    Path(path).write_text(json.dumps(payload))
+
+
+def graph_from_json(data: Any) -> Graph:
+    """Decode the JSON graph format (``vertex_weights`` optional); any
+    malformed input raises :class:`GraphError`."""
+    try:
+        n = int(data["n"])
+        edges = [(int(u), int(v), float(w)) for u, v, w in data["edges"]]
+        vw = data.get("vertex_weights")
+        vertex_weights = (
+            None if vw is None else np.asarray(vw, dtype=np.float64)
+        )
+        return Graph.from_edges(n, edges, vertex_weights=vertex_weights)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise GraphError(
+            f"malformed JSON graph ({type(exc).__name__}: {exc}); expected "
+            "'n', 'edges' as [u, v, w] triples and optional 'vertex_weights'"
+        ) from exc
+
+
+def read_json(path: str | Path) -> Graph:
+    """Read the JSON graph format produced by :func:`write_json`."""
+    try:
+        return graph_from_json(json.loads(Path(path).read_text()))
+    except (GraphError, json.JSONDecodeError) as exc:
+        raise GraphError(f"{path}: {exc}") from exc
+
+
+def write_json(graph: Graph, path: str | Path) -> None:
+    """Write the graph as JSON (see :func:`graph_to_json`)."""
+    Path(path).write_text(json.dumps(graph_to_json(graph)))

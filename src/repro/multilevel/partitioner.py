@@ -23,14 +23,13 @@ from repro.multilevel.matching import heavy_edge_matching
 from repro.partition.partition import Partition
 from repro.refine.fm import fm_refine
 from repro.refine.kl import kl_refine
-from repro.api.request import SolveRequest
-from repro.api.session import OneShotStepper, SolveSession
+from repro.api.session import Solver
 
 __all__ = ["MultilevelPartitioner"]
 
 
 @dataclass
-class MultilevelPartitioner:
+class MultilevelPartitioner(Solver):
     """Three-phase multilevel k-way partitioner (paper §2.2).
 
     Attributes
@@ -66,14 +65,6 @@ class MultilevelPartitioner:
     fm_passes: int = 6
 
     name = "multilevel"
-    #: Direct construction: the session runs :meth:`partition` once.
-    stepper = OneShotStepper
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Partition ``graph`` into ``self.k`` parts."""

@@ -29,8 +29,7 @@ from repro.common.exceptions import ConfigurationError
 from repro.common.rng import SeedLike, ensure_rng
 from repro.graph.graph import Graph
 from repro.partition.partition import Partition
-from repro.api.request import SolveRequest
-from repro.api.session import OneShotStepper, SolveSession
+from repro.api.session import Solver
 
 __all__ = [
     "percolation_bonds",
@@ -82,7 +81,7 @@ def percolation_bonds(
     *decrease* with hop distance on uniform-weight graphs — the behaviour
     the step-by-step flood in the paper exhibits — while preserving the
     trade-off that lets a strong flow corridor out-bond a nearby weak
-    centre.  The interpretation is recorded in DESIGN.md.
+    centre.  ``docs/paper_mapping.md`` records the interpretation.
     """
     n = graph.num_vertices
     centers = np.asarray(centers, dtype=np.int64)
@@ -244,7 +243,7 @@ def choose_spread_centers(
 
 
 @dataclass
-class PercolationPartitioner:
+class PercolationPartitioner(Solver):
     """Standalone percolation partitioner (Table 1 row "Percolation").
 
     Attributes
@@ -262,14 +261,6 @@ class PercolationPartitioner:
     balance_epsilon: float = 0.25
 
     name = "percolation"
-    #: Direct construction: the session runs :meth:`partition` once.
-    stepper = OneShotStepper
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Flood from automatically spread centres."""

@@ -41,6 +41,9 @@ __all__ = ["ServiceHTTP"]
 #: Safety bounds on untrusted input.
 MAX_HEADER_BYTES = 64 * 1024
 MAX_BODY_BYTES = 256 * 1024 * 1024
+#: Seconds a client gets to send the request head, and again the body;
+#: a connection still short of either is closed without a response.
+READ_TIMEOUT_SECONDS = 30.0
 
 #: Poll interval of the SSE file tail (the log is fsync-flushed per
 #: event, so latency is bounded by this, not by buffering).
@@ -115,20 +118,29 @@ class ServiceHTTP:
                     writer, 500,
                     {"error": f"{type(exc).__name__}: {exc}"},
                 )
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+        # Cancellation (server shutdown) ends the handler here instead of
+        # propagating: on Python 3.11 the stream server's done-callback
+        # calls task.exception() on a cancelled handler task, which logs
+        # the CancelledError as a traceback.
+        except (
+            ConnectionResetError, BrokenPipeError, asyncio.CancelledError,
+            asyncio.TimeoutError,
+        ):
             pass
         finally:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except (OSError, asyncio.CancelledError):
                 pass
 
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict | None]:
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), READ_TIMEOUT_SECONDS
+            )
         except asyncio.LimitOverrunError as exc:
             raise _HttpError(413, "request head too large") from exc
         except (asyncio.IncompleteReadError, EOFError) as exc:
@@ -155,7 +167,11 @@ class ServiceHTTP:
                 raise _HttpError(400, "bad Content-Length") from exc
             if n > MAX_BODY_BYTES:
                 raise _HttpError(413, "request body too large")
-            raw = await reader.readexactly(n) if n else b""
+            raw = b""
+            if n:
+                raw = await asyncio.wait_for(
+                    reader.readexactly(n), READ_TIMEOUT_SECONDS
+                )
             if raw:
                 try:
                     body = json.loads(raw)

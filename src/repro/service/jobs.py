@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any
 
+from repro.api.request import SolveRequest
 from repro.common.exceptions import ConfigurationError
 from repro.graph.graph import Graph
+from repro.graph.io import graph_from_json
 
 __all__ = [
     "JOB_SCHEMA",
@@ -63,8 +65,8 @@ class JobSpec:
 
     Exactly one of ``instance`` (a registered workload name — the
     ``repro submit --instance atc-core`` path) or ``graph_data`` (an
-    inline JSON graph: ``{"n": ..., "edges": [[u, v, w], ...]}``, the
-    format of :func:`repro.graph.io.write_json`) names the graph.  Both
+    inline JSON graph: ``{"n": ..., "edges": [[u, v, w], ...]}``, decoded
+    by :func:`repro.graph.io.graph_from_json`) names the graph.  Both
     are stored verbatim in the durable job record so a restarted server
     can rebuild the exact same graph — instances by their deterministic
     builder, inline graphs from the stored edges.
@@ -113,6 +115,7 @@ class JobSpec:
                 "submit needs exactly one of 'instance' (registered "
                 "workload name) or 'graph' (inline JSON graph)"
             )
+        default_k = None
         if instance is not None:
             from repro.workloads import canonical_instance, get_instance
 
@@ -125,24 +128,12 @@ class JobSpec:
                     "run it with `repro workloads run` instead"
                 )
             default_k = inst.default_k
-        else:
-            if not isinstance(graph_data, dict) or "n" not in graph_data \
-                    or "edges" not in graph_data:
-                raise ConfigurationError(
-                    "inline 'graph' must be an object with 'n' and "
-                    "'edges' (the repro JSON graph format)"
-                )
-            default_k = None
         k = payload.get("k", default_k)
         if k is None:
             raise ConfigurationError("submit needs 'k' with an inline graph")
         objective = payload.get("objective")
         if objective is not None:
             objective = str(objective).strip().lower()
-            if objective not in ("cut", "ncut", "mcut"):
-                raise ConfigurationError(
-                    f"objective must be cut/ncut/mcut, got {objective!r}"
-                )
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             raise ConfigurationError(
@@ -194,12 +185,6 @@ class JobSpec:
             raise ConfigurationError(
                 f"malformed submit field: {exc}"
             ) from exc
-        if spec.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {spec.k}")
-        if spec.islands < 1:
-            raise ConfigurationError(
-                f"islands must be >= 1, got {spec.islands}"
-            )
         return spec
 
     def build_graph(self) -> Graph:
@@ -208,23 +193,20 @@ class JobSpec:
             from repro.workloads import build_instance
 
             return build_instance(self.instance, seed=self.graph_seed)
-        data = self.graph_data or {}
-        try:
-            import numpy as np
+        return graph_from_json(self.graph_data)
 
-            n = int(data["n"])
-            edges = [
-                (int(u), int(v), float(w)) for u, v, w in data["edges"]
-            ]
-            vw = data.get("vertex_weights")
-            vertex_weights = (
-                np.asarray(vw, dtype=np.float64) if vw is not None else None
-            )
-            return Graph.from_edges(n, edges, vertex_weights=vertex_weights)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"inline graph is malformed: {exc}"
-            ) from exc
+    def request(self, graph: Graph) -> SolveRequest:
+        """The job's solve request on ``graph`` (the request validates
+        ``k``, the objective and the island fields)."""
+        return SolveRequest(
+            graph=graph,
+            k=self.k,
+            objective=self.objective,
+            seed=self.seed,
+            name=self.name,
+            islands=self.islands,
+            migration_interval=self.migration_interval,
+        )
 
     def solve_fields(self) -> dict:
         """The result-determining fields (the cache-key payload).

@@ -101,8 +101,6 @@ class ServiceConfig:
     event_fsync:
         Run per-job event logs in fsync-per-event mode so the streams
         survive a SIGKILL along with the checkpoints.
-    default_weight:
-        Fair-share weight for tenants that never set one.
     """
 
     data_dir: Path
@@ -112,7 +110,6 @@ class ServiceConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     faults: FaultInjector | None = None
     event_fsync: bool = False
-    default_weight: float = 1.0
 
     def __post_init__(self) -> None:
         self.data_dir = Path(self.data_dir)
@@ -144,7 +141,7 @@ class SolveService:
         self.config = config
         self.store = JobStore(config.data_dir)
         self.cache = ResultCache(self.store.cache_dir)
-        self.scheduler = FairShareScheduler(config.default_weight)
+        self.scheduler = FairShareScheduler()
         self.jobs: dict[str, Job] = {}
         self.started_at = time.time()
         self.slices_executed = 0
@@ -216,12 +213,13 @@ class SolveService:
         from repro.api import get_solver
 
         spec = JobSpec.from_payload(payload)
-        # Options the method does not take fail here, not at the first
-        # slice.
-        get_solver(spec.method, spec.k, **dict(spec.options))
+        # Options the method does not take, and requests the solver
+        # cannot run, fail here, not at the first slice.
+        solver = get_solver(spec.method, spec.k, **dict(spec.options))
+        graph, fingerprint = self._graph_for(spec)
+        solver.check_request(spec.request(graph))
         if spec.weight is not None:
             self.scheduler.set_weight(spec.tenant, spec.weight)
-        graph, fingerprint = self._graph_for(spec)
         key = cache_key(fingerprint, spec)
         job = Job(
             id=new_job_id(),
@@ -436,19 +434,11 @@ class SolveService:
                 writer.close()
 
     def _fresh_session(self, job: Job, graph: Graph):
-        from repro.api import SolveRequest, get_solver
+        from repro.api import get_solver
 
         spec = job.spec
         solver = get_solver(spec.method, spec.k, **dict(spec.options))
-        return solver.start(SolveRequest(
-            graph=graph,
-            k=spec.k,
-            objective=spec.objective,
-            seed=spec.seed,
-            name=spec.name,
-            islands=spec.islands,
-            migration_interval=spec.migration_interval,
-        ))
+        return solver.start(spec.request(graph))
 
     def _slice_seconds_target(self, session) -> float | None:
         # run() treats max_seconds as session-total; grant each slice a

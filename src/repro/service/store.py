@@ -90,12 +90,6 @@ class JobStore:
             },
         )
 
-    def read_server_info(self) -> dict | None:
-        try:
-            return json.loads(self.server_info_path().read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-
 
 class ResultCache:
     """Durable result cache keyed by ``cache_key(fingerprint, spec)``.

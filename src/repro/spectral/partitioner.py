@@ -23,8 +23,7 @@ from repro.graph.graph import Graph
 from repro.partition.partition import Partition
 from repro.refine.kl import kl_refine
 from repro.spectral.bisection import recursive_spectral_partition
-from repro.api.request import SolveRequest
-from repro.api.session import OneShotStepper, SolveSession
+from repro.api.session import Solver
 
 __all__ = ["SpectralPartitioner", "LinearPartitioner"]
 
@@ -38,7 +37,7 @@ def _check_power_of_two(k: int) -> int:
 
 
 @dataclass
-class LinearPartitioner:
+class LinearPartitioner(Solver):
     """Index-order ("linear") recursive partitioner — Table 1's baseline.
 
     Splits ``0..n-1`` into ``k`` contiguous, size-balanced ranges.  With
@@ -63,14 +62,6 @@ class LinearPartitioner:
     kl_passes: int = 4
 
     name = "linear"
-    #: Direct construction: the session runs :meth:`partition` once.
-    stepper = OneShotStepper
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Partition ``graph``; ``seed`` is unused (deterministic method)."""
@@ -90,7 +81,7 @@ class LinearPartitioner:
 
 
 @dataclass
-class SpectralPartitioner:
+class SpectralPartitioner(Solver):
     """Spectral recursive partitioner (paper §2.1, Table 1 "Spectral" rows).
 
     Attributes
@@ -116,14 +107,6 @@ class SpectralPartitioner:
     kl_passes: int = 4
 
     name = "spectral"
-    #: Direct construction: the session runs :meth:`partition` once.
-    stepper = OneShotStepper
-
-    def start(
-        self, request: SolveRequest, checkpoint: dict | None = None
-    ) -> SolveSession:
-        """Open a run session (the :class:`repro.api.Solver` protocol)."""
-        return SolveSession(self, request, checkpoint)
 
     def partition(self, graph: Graph, seed: SeedLike = None) -> Partition:
         """Partition ``graph`` into ``self.k`` parts."""

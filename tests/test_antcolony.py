@@ -61,11 +61,6 @@ class TestPheromoneField:
         f = PheromoneField(g, 2)
         assert (f.vertex_ownership() == -1).all()
 
-    def test_incident_edges(self, triangle):
-        f = PheromoneField(triangle, 1)
-        inc = f.incident_edges(0)
-        assert inc.shape == (2,)
-
 
 class TestSearch:
     def test_finds_caveman_optimum(self):

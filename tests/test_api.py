@@ -315,6 +315,13 @@ class TestRequestValidation:
         with pytest.raises(ConfigurationError):
             Budget(max_iterations=-1)
 
+    def test_objective_checked_and_normalised(self, graph):
+        # Refused when the request is built, before any solve work.
+        with pytest.raises(ConfigurationError, match="bogus"):
+            solve(graph, 4, "multilevel", objective="bogus")
+        report = solve(graph, 4, "multilevel", seed=0, objective=" MCUT ")
+        assert report.objective == "mcut"
+
     @pytest.mark.parametrize("method", sorted(FAMILY_OPTIONS))
     def test_solver_built_for_another_k(self, method):
         graph = weighted_caveman_graph(8, 6)

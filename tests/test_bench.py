@@ -1,17 +1,13 @@
 """Tests for the benchmark harness (fast configurations only)."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.api import get_solver
-from repro.bench import (
-    MethodResult,
-    format_table,
-    run_method,
-    run_suite,
-    table1_methods,
-)
-from repro.bench.figure1 import QualityTrace
+from repro.api import Solver, get_solver
+from repro.bench import format_table, run_suite, table1, table1_methods
+from repro.bench.figure1 import QualityTrace, reference_lines
 from repro.common.exceptions import ConfigurationError
 from repro.engine import SolverSpec
 from repro.graph import weighted_caveman_graph
@@ -23,8 +19,7 @@ class TestRegistry:
             "linear", "spectral", "multilevel", "percolation",
             "simulated-annealing", "ant-colony", "fusion-fission",
         ):
-            solver = get_solver(name, 4)
-            assert hasattr(solver, "start")
+            assert isinstance(get_solver(name, 4), Solver)
 
     def test_unknown_method(self):
         with pytest.raises(ConfigurationError):
@@ -43,10 +38,10 @@ class TestRegistry:
 class TestHarness:
     def test_run_method(self):
         g = weighted_caveman_graph(4, 6)
-        r = run_method(SolverSpec("multilevel", label="ml"), g, 4, seed=0)
-        assert isinstance(r, MethodResult)
-        assert r.num_parts == 4
-        assert r.cut == pytest.approx(2 * 4.0)  # planted: 4 cut edges
+        [r] = run_suite([SolverSpec("multilevel", label="ml")], g, 4, seed=0)
+        assert r.label == "ml"
+        assert r.report.num_parts == 4
+        assert r.report.cut == pytest.approx(2 * 4.0)  # planted: 4 cut edges
         assert r.seconds >= 0.0
 
     def test_run_suite_and_format(self):
@@ -57,12 +52,6 @@ class TestHarness:
         table = format_table(results, title="t")
         assert "linear" in table
         assert "Mcut" in table
-
-    def test_result_dict(self):
-        r = MethodResult("x", 1.0, 2.0, 3.0, 4, 0.5)
-        d = r.as_dict()
-        assert d["label"] == "x"
-        assert d["mcut"] == 3.0
 
 
 class TestQualityTrace:
@@ -91,10 +80,33 @@ class TestIntegrationSmall:
         results = run_suite(specs, g, 4, seed=0)
         assert len(results) == 17
         for r in results:
-            assert r.num_parts == 4
-            assert np.isfinite(r.cut)
+            assert r.report.num_parts == 4
+            assert np.isfinite(r.report.cut)
         # The planted optimum (cut = 8.0 paper-convention) must be found by
         # the strong methods.
-        by_label = {r.label: r for r in results}
+        by_label = {r.label: r.report for r in results}
         assert by_label["Multilevel (Bi)"].cut == pytest.approx(8.0)
         assert by_label["Fusion Fission"].cut <= 3 * 8.0
+
+
+class TestReproductionEntryPoints:
+    """The Table-1 and Figure-1 entry points on small instances."""
+
+    def test_table1_json_rows(self, tmp_path):
+        path = tmp_path / "table1.json"
+        table1.main([
+            "--instance", "grid-16", "--k", "4", "--budget", "0.5",
+            "--json", str(path),
+        ])
+        rows = json.loads(path.read_text())["results"]
+        assert len(rows) == 17
+        for row in rows:
+            assert list(row) == [
+                "label", "cut", "ncut", "mcut", "num_parts", "seconds",
+            ]
+            assert row["num_parts"] == 4
+
+    def test_reference_lines(self):
+        refs = reference_lines(weighted_caveman_graph(4, 8), 4, seed=0)
+        assert set(refs) == {"spectral", "multilevel"}
+        assert all(np.isfinite(value) for value in refs.values())

@@ -47,13 +47,6 @@ class TestProblem:
         p = PartitionProblem(grid_graph(3, 3), k=2, objective=" Mcut ")
         assert p.objective == "mcut"
 
-    def test_score_and_evaluate(self, problem):
-        assignment = np.repeat(np.arange(4), 6)
-        partition = problem.partition_from(assignment)
-        assert problem.score(partition) == pytest.approx(
-            problem.evaluate(assignment).mcut
-        )
-
     def test_as_dict(self, problem):
         d = problem.as_dict()
         assert d["num_vertices"] == 24
@@ -148,7 +141,7 @@ class TestPoolEquivalence:
             session = task.spec.build_solver(problem.k).start(SolveRequest(
                 graph=problem.graph, k=problem.k, seed=task.seed
             ))
-            singles.append(problem.score(session.run().partition))
+            singles.append(getattr(session.run().metrics, problem.objective))
         assert result.best.objective <= min(singles) + 1e-12
 
 
@@ -340,8 +333,8 @@ class TestHarnessOnEngine:
         pooled = run_suite(specs, g, 4, seed=3, jobs=2)
         assert [r.label for r in sequential] == [r.label for r in pooled]
         for a, b in zip(sequential, pooled):
-            assert a.cut == b.cut
-            assert a.mcut == pytest.approx(b.mcut)
+            assert a.report.cut == b.report.cut
+            assert a.report.mcut == pytest.approx(b.report.mcut)
 
     def test_run_suite_raises_on_method_failure(self):
         from repro.bench import run_suite

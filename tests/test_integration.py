@@ -22,8 +22,6 @@ from repro import (
 from repro.graph import weighted_caveman_graph
 from repro.atc import core_area_network, build_blocks
 from repro.atc.europe import core_area_graph
-from repro.bench.harness import run_method
-from repro.engine import SolverSpec
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +96,11 @@ class TestRefinementGainOnAtc:
         return core_area_graph(seed=2006)
 
     def _gain(self, graph, method, **options):
-        raw = run_method(
-            SolverSpec(method, options, label="raw"), graph, self.K,
-            seed=2006,
+        raw = solve(graph, self.K, method, seed=2006, **options)
+        refined = solve(
+            graph, self.K, method, seed=2006, refine=True, **options
         )
-        refined = run_method(
-            SolverSpec(method, {**options, "refine": True}, label="kl"),
-            graph, self.K, seed=2006,
-        )
-        return raw, refined
+        return raw.metrics, refined.metrics
 
     def test_kl_on_linear(self, atc_graph):
         raw, refined = self._gain(atc_graph, "linear")

@@ -102,3 +102,14 @@ class TestJson:
         (tmp_path / "bad.json").write_text('{"nope": 1}')
         with pytest.raises(GraphError):
             read_json(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 3, "edges": [[0]]}',
+        '{"n": 3, "edges": [[0, 1, 1.0]], "vertex_weights": [1.0]}',
+        '{"n": 1e400, "edges": []}',
+        '{"n": 3, "edges": ',
+    ], ids=["short-edge", "vertex-weights", "infinite-n", "not-json"])
+    def test_rejects_malformed_content(self, tmp_path, text):
+        (tmp_path / "bad.json").write_text(text)
+        with pytest.raises(GraphError, match="bad.json"):
+            read_json(tmp_path / "bad.json")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import Budget, solve
-from repro.common.exceptions import ConfigurationError, ReproError
+from repro.common.exceptions import ConfigurationError, GraphError, ReproError
 from repro.graph import Graph, graph_fingerprint, grid_graph
 from repro.service import (
     FairShareScheduler,
@@ -254,9 +254,22 @@ class TestServiceEndToEnd:
 
     def test_submit_validation_errors_do_not_create_jobs(self, tmp_path):
         service = SolveService(iter_sliced_config(tmp_path))
-        with pytest.raises(ConfigurationError):
-            service.submit({"graph": {"n": 4, "edges": []}, "k": 0})
+        refused = [
+            {"graph": {"n": 4, "edges": []}, "k": 0},
+            {"instance": "grid-16", "k": 4, "method": "sa", "islands": 2,
+             "migration_interval": 0},
+            {"instance": "caveman-8x6", "k": 100},
+            {"instance": "grid-16", "k": 4, "method": "multilevel",
+             "islands": 2, "tenant": "t", "weight": 3.0},
+            {"instance": "grid-16", "k": 4, "objective": "bogus"},
+        ]
+        for payload in refused:
+            with pytest.raises(ConfigurationError):
+                service.submit(payload)
+        with pytest.raises(GraphError, match="malformed JSON graph"):
+            service.submit({"graph": {"n": 3, "edges": [[0]]}, "k": 2})
         assert service.jobs == {}
+        assert service.scheduler.weights() == {}
 
     @pytest.mark.parametrize(
         "options", [{"bogus": 1}, {"time_budget": 1.0}],

@@ -3,7 +3,9 @@ discovery via server.json, SSE streaming, cache hits over the wire, and
 the headline durability property — SIGKILL mid-solve, restart, and the
 final partition is bit-identical to an uninterrupted run."""
 
+import asyncio
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -13,7 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import ServiceClient, ServiceHTTPError
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    ServiceHTTPError,
+    SolveService,
+)
+from repro.service import http as service_http
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -90,6 +98,17 @@ class TestHTTPEndpoints:
         assert excinfo.value.code == 400
         assert client.stats()["jobs"]["total"] == 0
 
+    def test_submit_the_solver_cannot_run_is_400(self, server):
+        client, _, _ = server
+        for payload in (
+            ring_payload(method="multilevel", islands=2),
+            ring_payload(graph={"n": 3, "edges": [[0]]}),
+        ):
+            with pytest.raises(ServiceHTTPError) as excinfo:
+                client.submit(payload)
+            assert excinfo.value.code == 400
+        assert client.stats()["jobs"]["total"] == 0
+
     def test_sse_stream_replays_and_ends_with_card(self, server):
         client, _, _ = server
         card = client.submit(ring_payload(seed=9))
@@ -126,6 +145,47 @@ class TestHTTPEndpoints:
         second = client.submit(ring_payload(seed=32))
         listed = {job["id"] for job in client.jobs()}
         assert {first["id"], second["id"]} <= listed
+
+
+class TestReadTimeout:
+    def test_silent_client_is_closed(
+        self, tmp_path, monkeypatch, caplog, capfd
+    ):
+        """A client that connects and sends nothing loses its connection
+        at the read timeout; the server keeps answering and stops
+        cleanly."""
+        monkeypatch.setattr(service_http, "READ_TIMEOUT_SECONDS", 0.2)
+
+        async def scenario():
+            server = service_http.ServiceHTTP(SolveService(ServiceConfig(
+                tmp_path / "data", slice_seconds=None, slice_iterations=2,
+            )))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                start = time.monotonic()
+                assert await asyncio.wait_for(reader.read(), 1.0) == b""
+                closed_after = time.monotonic() - start
+                writer.close()
+                client = ServiceClient(server.host, server.port)
+                card = await asyncio.to_thread(client.submit, ring_payload())
+                # Still silent at shutdown: its handler is cancelled.
+                _, pending = await asyncio.open_connection(
+                    server.host, server.port
+                )
+            finally:
+                await server.stop()
+            pending.close()
+            return closed_after, card
+
+        with caplog.at_level(logging.WARNING):
+            closed_after, card = asyncio.run(scenario())
+        assert closed_after < 1.0
+        assert card["state"] == "queued"
+        assert caplog.records == []
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestKillRestartDurability:
