@@ -1,9 +1,9 @@
 """Hot-path microbenchmarks: the tracked perf-regression harness.
 
 Each record times an optimized kernel and, where a frozen reference
-implementation exists (:mod:`repro.partition.reference`,
-:mod:`repro.refine.reference`), the pre-vectorization baseline too — the
-resulting ``speedup`` is the number this and every future PR is held to.
+implementation exists (:mod:`repro.refine.reference`), the
+pre-vectorization baseline too — the resulting ``speedup`` is the number
+this and every future PR is held to.
 Results are verified (``matches_reference``) before they are timed, so a
 fast-but-wrong kernel fails the harness instead of flattering it.
 
@@ -16,10 +16,6 @@ Benchmarks
 * ``fm_gain_engine``  — the batched boundary-candidate kernel alone
   (table build + masked argmax for every boundary vertex) vs the
   per-vertex scan.  This is the raw gain-engine speedup.
-* ``move_many``       — bulk vertex relocation vs the one-``move()``-at-a-
-  time loop.
-* ``objective_delta`` — vectorized ``delta_move_targets`` over all
-  candidate targets vs a ``delta_move`` Python loop (mcut and cut).
 * ``coarsen_level``   — heavy-edge matching + contraction of one
   multilevel level (no reference; absolute throughput).
 * ``ff_step``         — fusion–fission main-loop steps/second on a
@@ -164,8 +160,8 @@ def _bench_fm_gain_engine(graph: Graph, assignment, k, reps) -> PerfRecord:
                      float(partition.vertex_weight.min()))
 
     def optimized():
-        table = GainTable(partition, None)
-        table.refresh(boundary, assume_unique=True)
+        table = GainTable(partition)
+        table.refresh(boundary)
         return _candidates_from_rows(
             partition, table.w_parts[boundary], boundary,
             max_weight, min_weight, None, None,
@@ -198,94 +194,6 @@ def _bench_fm_gain_engine(graph: Graph, assignment, k, reps) -> PerfRecord:
         reference_seconds=ref, speedup=ref / sec,
         matches_reference=bool(matches),
         notes=f"batched best-target for {boundary.shape[0]} boundary vertices",
-    )
-
-
-def _bench_move_many(graph: Graph, assignment, k, reps) -> PerfRecord:
-    from repro.partition.partition import Partition
-    from repro.partition.reference import move_many_reference
-
-    # A realistic bulk relocation: everything but one vertex of two parts
-    # (what fusion and `_coerce_to_k` merges amount to), multi-source.
-    part_a = np.flatnonzero(assignment == 0)[:-1]
-    part_b = np.flatnonzero(assignment == 2)[:-1]
-    movers = np.concatenate([part_a, part_b])
-
-    p_opt = Partition(graph, assignment.copy())
-    p_ref = Partition(graph, assignment.copy())
-    t_opt = p_opt.move_many(movers, 1)
-    t_ref = move_many_reference(p_ref, movers, 1)
-    p_opt.check()
-    matches = bool(
-        t_opt == t_ref and np.array_equal(p_opt.assignment, p_ref.assignment)
-    )
-
-    # Copy outside the clock so only the moves are timed.
-    base = Partition(graph, assignment.copy())
-
-    def timed(fn) -> float:
-        best = float("inf")
-        for _ in range(max(reps, 3)):
-            trial = base.copy()
-            t0 = time.perf_counter()
-            fn(trial)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    sec = timed(lambda p: p.move_many(movers, 1))
-    ref = timed(lambda p: move_many_reference(p, movers, 1))
-    return PerfRecord(
-        name="move_many",
-        n=graph.num_vertices, m=graph.num_edges, k=k, reps=reps,
-        seconds=sec, ops_per_second=movers.shape[0] / sec,
-        unit="moves/s",
-        reference_seconds=ref, speedup=ref / sec,
-        matches_reference=matches,
-        notes=f"bulk relocation of {movers.shape[0]} vertices",
-    )
-
-
-def _bench_objective_delta(
-    graph: Graph, assignment, k, reps, objective: str
-) -> PerfRecord:
-    from repro.partition.objectives import get_objective
-    from repro.partition.partition import Partition
-
-    obj = get_objective(objective)
-    partition = Partition(graph, assignment.copy())
-    rng = np.random.default_rng(0)
-    sample = rng.choice(graph.num_vertices, min(512, graph.num_vertices),
-                        replace=False)
-    targets = np.arange(k)
-
-    def optimized():
-        return [
-            obj.delta_move_targets(partition, int(v), targets)
-            for v in sample
-        ]
-
-    def reference():
-        return [
-            [obj.delta_move(partition, int(v), int(t)) for t in targets]
-            for v in sample
-        ]
-
-    opt_out = np.array(optimized())
-    ref_out = np.array(reference())
-    both_nan = np.isnan(opt_out) & np.isnan(ref_out)
-    matches = bool(np.all((opt_out == ref_out) | both_nan))
-
-    sec = _best_of(optimized, reps)
-    ref = _best_of(reference, reps)
-    n_ops = sample.shape[0] * k
-    return PerfRecord(
-        name=f"objective_delta_{objective}",
-        n=graph.num_vertices, m=graph.num_edges, k=k, reps=reps,
-        seconds=sec, ops_per_second=n_ops / sec,
-        unit="deltas/s",
-        reference_seconds=ref, speedup=ref / sec,
-        matches_reference=matches,
-        notes=f"all-target deltas for {sample.shape[0]} vertices",
     )
 
 
@@ -523,9 +431,6 @@ def run_perf_suite(
     records = [
         _bench_fm_pass(graph, assignment, k, reps),
         _bench_fm_gain_engine(graph, assignment, k, reps),
-        _bench_move_many(graph, assignment, k, reps),
-        _bench_objective_delta(graph, assignment, k, reps, "mcut"),
-        _bench_objective_delta(graph, assignment, k, reps, "cut"),
         _bench_coarsen_level(graph, reps),
         _bench_ff_step(n, k, reps),
         _bench_ff_initialize(graph, k, reps),

@@ -133,14 +133,12 @@ def _binding_of(
     return binding
 
 
-def nucleon_fusion(partition: Partition, nucleon: int, objective=None) -> bool:
-    """Absorb ``nucleon`` into a connected other atom.
+def nucleon_fusion(partition: Partition, nucleon: int) -> bool:
+    """Absorb ``nucleon`` into the connected atom that binds it most.
 
     The paper only says ejected nucleons "are incorporated into different
-    atoms connected with them"; without an ``objective`` the strongest
-    connection wins, with one the connected atom minimising the exact
-    objective delta wins (the nucleon settles into the energetically most
-    favourable atom — this is fusion–fission's vertex-level refinement).
+    atoms connected with them"; the atom with the largest edge weight to
+    the nucleon wins (the lowest part id on a tie).
 
     No-op (returns False) when the nucleon has no neighbour outside its
     own part, or when moving it would empty its part.
@@ -151,21 +149,10 @@ def nucleon_fusion(partition: Partition, nucleon: int, objective=None) -> bool:
     w_parts = partition.neighbor_part_weights(nucleon)
     connected = w_parts > 0.0
     connected[source] = False
-    if objective is None:
-        candidates = np.flatnonzero(connected)
-        if candidates.size == 0:
-            return False
-        target = int(candidates[np.argmax(w_parts[candidates])])
-    else:
-        candidates = np.flatnonzero(connected)
-        if candidates.size == 0:
-            return False
-        # One vectorized delta evaluation over every connected atom,
-        # reusing the aggregation already in hand — no per-target loop.
-        deltas = objective.delta_move_targets(
-            partition, nucleon, candidates, w_parts=w_parts
-        )
-        target = int(candidates[np.argmin(deltas)])
+    candidates = np.flatnonzero(connected)
+    if candidates.size == 0:
+        return False
+    target = int(candidates[np.argmax(w_parts[candidates])])
     partition.move(nucleon, target, allow_empty_source=False, w_parts=w_parts)
     return True
 
@@ -175,31 +162,32 @@ def nucleon_fission(
     nucleon: int,
     max_parts: int,
     rng: SeedLike = None,
-    objective=None,
 ) -> bool:
     """A hot nucleon triggers a simple fission of a connected atom.
 
     The struck atom (the nucleon's most strongly connected *other* atom)
     is cut in two by percolation with no further ejection; the nucleon
-    then joins whichever fragment binds it more.  Returns False when no
-    admissible strike exists (no connected atom of size >= 2, or the
-    molecule already has ``max_parts`` atoms).
+    then joins whichever fragment binds it more.  When no admissible
+    strike exists (no connected atom of size >= 2, or the molecule
+    already has ``max_parts`` atoms) the nucleon just fuses
+    (:func:`nucleon_fusion`); the return value is that of the final
+    fusion.
     """
     rng = ensure_rng(rng)
     if partition.num_parts >= max_parts:
-        return nucleon_fusion(partition, nucleon, objective=objective)
+        return nucleon_fusion(partition, nucleon)
     own = partition.part_of(nucleon)
     w_parts = partition.neighbor_part_weights(nucleon)
     w_parts[own] = 0.0
     candidates = np.flatnonzero(w_parts > 0.0)
     candidates = candidates[partition.size[candidates] >= 2]
     if candidates.size == 0:
-        return nucleon_fusion(partition, nucleon, objective=objective)
+        return nucleon_fusion(partition, nucleon)
     struck = int(candidates[np.argmax(w_parts[candidates])])
     members = partition.members(struck)
     _, side_b = percolation_bisect(partition.graph, members, seed=rng)
     partition.split_part(struck, side_b)
-    return nucleon_fusion(partition, nucleon, objective=objective)
+    return nucleon_fusion(partition, nucleon)
 
 
 def fusion_step(

@@ -98,14 +98,6 @@ class GraphBuilder:
         Duplicate undirected edges are merged by summing their weights.
         """
         n = self._n
-        if not self._us:
-            g = Graph.empty(n)
-            if self._vertex_weights:
-                vw = np.ones(n)
-                for v, w in self._vertex_weights.items():
-                    vw[v] = w
-                g = g.with_vertex_weights(vw)
-            return g
         u = np.asarray(self._us, dtype=np.int64)
         v = np.asarray(self._vs, dtype=np.int64)
         w = np.asarray(self._ws, dtype=np.float64)

@@ -36,12 +36,27 @@ def float_values_are_integral(values: np.ndarray) -> bool:
     )
 
 
+def _check_weights(values: np.ndarray, what: str) -> None:
+    """Raise :class:`GraphError` unless every weight is finite and >= 0.
+
+    NaN compares false with everything, so ``values < 0`` alone lets it
+    through; infinite weights break every ratio objective downstream.
+    """
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        raise GraphError(
+            f"{what} must be finite and non-negative, got "
+            f"{float(values[bad][0])!r}"
+        )
+
+
 class Graph:
     """A weighted undirected graph in CSR form.
 
-    Vertices are the integers ``0 .. n-1``.  Edge weights are non-negative
-    floats (the paper's weight function ``w(e) >= 0``).  Self-loops and
-    duplicate edges are rejected at construction.
+    Vertices are the integers ``0 .. n-1``.  Edge and vertex weights are
+    finite non-negative floats (the paper's weight function
+    ``w(e) >= 0``).  Self-loops and duplicate edges are rejected at
+    construction.
 
     Parameters
     ----------
@@ -155,8 +170,11 @@ class Graph:
         """
         if n < 0:
             raise GraphError(f"vertex count must be >= 0, got {n}")
-        if vertex_weights is not None and np.shape(vertex_weights) != (n,):
-            raise GraphError(f"vertex_weights must have shape ({n},)")
+        if vertex_weights is not None:
+            vertex_weights = np.asarray(vertex_weights, dtype=np.float64)
+            if vertex_weights.shape != (n,):
+                raise GraphError(f"vertex_weights must have shape ({n},)")
+            _check_weights(vertex_weights, "vertex weights")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
@@ -178,8 +196,7 @@ class Graph:
             if np.any(u == v):
                 bad = int(u[u == v][0])
                 raise GraphError(f"self-loop on vertex {bad} is not allowed")
-            if np.any(w < 0):
-                raise GraphError("edge weights must be non-negative")
+            _check_weights(w, "edge weights")
             # Detect duplicate undirected edges via canonical (min,max) keys.
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
@@ -268,11 +285,11 @@ class Graph:
             raise GraphError("indices and weights must be parallel arrays")
         if self.vertex_weights.shape != (n,):
             raise GraphError(f"vertex_weights must have shape ({n},)")
+        _check_weights(self.vertex_weights, "vertex weights")
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= n:
                 raise GraphError("neighbour index out of range")
-            if np.any(self.weights < 0):
-                raise GraphError("edge weights must be non-negative")
+            _check_weights(self.weights, "edge weights")
         # No self-loops.
         owner = self.arc_owners()
         if np.any(owner == self.indices):

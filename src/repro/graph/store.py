@@ -28,9 +28,14 @@ Lifecycle rules (the part that is easy to get wrong):
   Creator and attachers therefore open, map and unlink segments with the
   same POSIX primitives ``SharedMemory`` uses (see ``_Segment``), and no
   tracker process is ever started; the lifecycle above replaces its
-  backstop, and the only leak window left is a creator killed with
-  SIGKILL before its ``finally`` runs.  Tests gate on
-  ``PYTHONWARNINGS=error::UserWarning`` to keep it that way.
+  backstop.  Tests gate on ``PYTHONWARNINGS=error::UserWarning`` to keep
+  it that way.
+* **Dead creators are swept.**  A creator killed with SIGKILL runs
+  neither its ``finally`` nor its ``atexit`` unlink.  Segment names carry
+  the creator's pid (``repro-graph-<pid>-<hex>``), so every
+  ``GraphStore.create`` first unlinks the segments whose pid no longer
+  exists.  Pids are looked up in the caller's pid namespace, so
+  processes sharing one ``/dev/shm`` must share it too.
 * **Attachments are cached per process.**  Pool workers (and self-heal
   replacement workers) attach a given segment once; repeated
   ``Graph.from_handle`` calls with the same handle return the same
@@ -60,6 +65,37 @@ SEGMENT_PREFIX = "repro-graph-"
 
 #: CSR array fields in their fixed segment-layout order.
 _FIELDS = ("indptr", "indices", "weights", "vertex_weights")
+
+#: Where the POSIX shared-memory segments of this host are listed.
+_SHM_DIR = "/dev/shm"
+
+
+def _pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        pass
+    return True
+
+
+def _sweep_dead_segments() -> None:
+    """Unlink the segments whose creating process no longer exists."""
+    try:
+        names = os.listdir(_SHM_DIR)
+    except FileNotFoundError:  # no /dev/shm on this platform
+        return
+    for name in names:
+        if not name.startswith(SEGMENT_PREFIX):
+            continue
+        pid = name[len(SEGMENT_PREFIX):].partition("-")[0]
+        if not pid.isdigit() or _pid_exists(int(pid)):
+            continue
+        try:
+            _posixshmem.shm_unlink("/" + name)
+        except FileNotFoundError:  # another creator swept it first
+            pass
 
 
 @dataclass(frozen=True)
@@ -179,8 +215,10 @@ class GraphStore:
 
         The calling process owns the segment: destroy it with the
         context manager or :meth:`destroy`; an ``atexit`` finaliser
-        backstops abnormal exits.
+        backstops abnormal exits.  Segments left by creators that died
+        without either are unlinked first.
         """
+        _sweep_dead_segments()
         arrays = tuple(getattr(graph, f) for f in _FIELDS)
         name = f"{SEGMENT_PREFIX}{os.getpid()}-{secrets.token_hex(4)}"
         total = sum(arr.nbytes for arr in arrays)

@@ -29,7 +29,6 @@ from repro.partition.balance import (
     part_weight_bounds,
     is_balanced,
 )
-from repro.partition.moves import neighbor_part_weights, move_gain_cut
 from repro.partition.metrics import PartitionReport, evaluate_partition
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "max_part_weight",
     "part_weight_bounds",
     "is_balanced",
-    "neighbor_part_weights",
-    "move_gain_cut",
     "PartitionReport",
     "evaluate_partition",
 ]

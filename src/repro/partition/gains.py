@@ -1,24 +1,22 @@
-"""Batched gain engine: per-boundary-vertex part-weight tables.
+"""Per-vertex part-weight table for the FM refinement pass.
 
-The refinement inner loops (FM, greedy balance) all ask the same
-question over and over: *how much edge weight does vertex ``v`` send into
-each part?*  Answering it per vertex costs an O(deg + k) ``bincount`` —
-and a Python round-trip — per query.  :class:`GainTable` answers it from
-a maintained ``(n, k)`` float table instead:
+FM asks the same question over and over: *how much edge weight does
+vertex ``v`` send into each part?*  Answering it per vertex costs an
+O(deg + k) ``bincount`` — and a Python round-trip — per query.
+:class:`GainTable` answers it from a lazily materialised ``(n, k)`` float
+table instead.  Rows for a whole vertex set (typically the boundary) are
+built in one batched gather over the concatenated CSR slices
+(:meth:`~repro.graph.Graph.neighbors_many`), bit-identical to the
+per-vertex ``bincount`` because both accumulate each row in CSR order.
 
-* **batched build** — rows for a whole vertex set (typically the boundary)
-  are materialised in one ``np.add.at`` over the concatenated CSR slices
-  (:meth:`~repro.graph.Graph.neighbors_many`), bit-identical to the
-  per-vertex ``bincount`` because both accumulate each row in CSR order;
-* **delta maintenance** — applying a move ``v: source → target`` only
-  touches the rows of ``v``'s neighbours (``row[source] -= w(v, x)``,
-  ``row[target] += w(v, x)``), an O(deg(v)) fancy-indexed update.  ``v``'s
-  own row is untouched by its own move (it tracks *neighbour* parts).
+FM keeps the rows current itself after every move
+(:func:`repro.refine.fm.fm_refine`): two fancy-indexed adds on integral
+edge weights, a :meth:`GainTable.refresh` of the touched rows otherwise.
 
-The table assumes a **fixed part count**: FM, greedy balance and SA all
-forbid part-emptying moves, so ``k`` never changes while a table is live.
-Structural operations (merge/split) invalidate it — build a fresh table
-per refinement pass.
+The table assumes a **fixed part count**: FM forbids part-emptying
+moves, so ``k`` never changes while a table is live.  Structural
+operations (merge/split) invalidate it — build a fresh table per
+refinement pass.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ class GainTable:
     ----------
     partition:
         The live partition; its ``k`` is frozen into the table.
-    vertices:
-        Optional initial vertex set to materialise in one batch (FM passes
-        the boundary vertices).
 
     Examples
     --------
@@ -48,26 +43,19 @@ class GainTable:
     >>> import numpy as np
     >>> g = grid_graph(2, 4)
     >>> p = Partition(g, [0, 0, 1, 1, 0, 0, 1, 1])
-    >>> table = GainTable(p, np.arange(8))
+    >>> table = GainTable(p)
     >>> bool(np.array_equal(table.row(1), p.neighbor_part_weights(1)))
     True
     """
 
     __slots__ = ("partition", "w_parts", "materialized", "_k")
 
-    def __init__(self, partition: Partition, vertices: np.ndarray | None = None):
+    def __init__(self, partition: Partition):
         self.partition = partition
         self._k = partition.num_parts
         n = partition.graph.num_vertices
         self.w_parts = np.zeros((n, self._k), dtype=np.float64)
         self.materialized = np.zeros(n, dtype=bool)
-        if vertices is not None:
-            self.ensure(vertices)
-
-    @property
-    def num_parts(self) -> int:
-        """The part count the table was built for (must stay constant)."""
-        return self._k
 
     def ensure(self, vertices: np.ndarray) -> None:
         """Materialise the rows of ``vertices`` (batched; no-op if done)."""
@@ -93,51 +81,10 @@ class GainTable:
             self.ensure(np.asarray([v], dtype=np.int64))
         return self.w_parts[v]
 
-    def rows(self, vertices: np.ndarray) -> np.ndarray:
-        """``(len(vertices), k)`` view of several rows (don't mutate)."""
-        self.ensure(vertices)
-        return self.w_parts[vertices]
-
-    def apply_move(
-        self, v: int, source: int, target: int, exact: bool = False
-    ) -> None:
-        """Account for ``v`` having moved ``source → target``.
-
-        Call *after* ``partition.move(v, target)``.  Only materialised
-        neighbour rows are touched.
-
-        By default the update is a **delta**: ``row[source] -= w(v, x)``,
-        ``row[target] += w(v, x)`` for every materialised neighbour ``x``
-        (neighbour ids within a CSR slice are unique, so plain
-        fancy-indexed adds suffice).  Deltas are exact whenever the
-        accumulated weights are exactly representable (unit/integer
-        weights); on arbitrary float weights ``(a + b) - b`` can drift an
-        ulp from ``a``.  Pass ``exact=True`` to instead *rebuild* the
-        touched rows from their CSR slices (still one batched pass) —
-        every row then always equals a fresh
-        :meth:`~repro.partition.Partition.neighbor_part_weights` bit for
-        bit, which is what keeps the optimized FM identical to its
-        reference on seeded float-weight graphs.
-        """
-        nbrs, wts = self.partition.graph.neighbors(v)
-        sel = self.materialized[nbrs]
-        if exact:
-            # A CSR slice has unique neighbour ids by construction.
-            self.refresh(nbrs[sel], assume_unique=True)
-            return
-        idx = nbrs[sel]
-        w = wts[sel]
-        self.w_parts[idx, source] -= w
-        self.w_parts[idx, target] += w
-
-    def refresh(
-        self, vertices: np.ndarray, assume_unique: bool = False
-    ) -> None:
+    def refresh(self, vertices: np.ndarray) -> None:
         """Rebuild the rows of ``vertices`` from scratch (one batched
         gather), bit-identical to per-vertex ``neighbor_part_weights``."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        if not assume_unique:
-            vertices = np.unique(vertices)
         if vertices.size == 0:
             return
         if vertices.size <= 2:

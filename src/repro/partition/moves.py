@@ -1,4 +1,5 @@
-"""Move-evaluation helpers shared by refinement and metaheuristic loops."""
+"""The boundary-vertex scan shared by FM, the ant-colony daemon and
+:func:`~repro.partition.evaluate_partition`."""
 
 from __future__ import annotations
 
@@ -6,30 +7,7 @@ import numpy as np
 
 from repro.partition.partition import Partition
 
-__all__ = ["neighbor_part_weights", "move_gain_cut", "boundary_vertices"]
-
-
-def neighbor_part_weights(partition: Partition, v: int) -> np.ndarray:
-    """``(k,)`` array of edge weight from ``v`` into each part.
-
-    Thin functional wrapper over
-    :meth:`~repro.partition.Partition.neighbor_part_weights` for callers
-    that prefer free functions.
-    """
-    return partition.neighbor_part_weights(v)
-
-
-def move_gain_cut(partition: Partition, v: int, target: int) -> float:
-    """Classic FM gain of moving ``v`` to ``target``: reduction in edge cut.
-
-    ``gain = w(v → target) − w(v → own part)``; positive gains reduce the
-    (once-counted) edge cut by exactly the gain.
-    """
-    w_parts = partition.neighbor_part_weights(v)
-    source = partition.part_of(v)
-    if source == target:
-        return 0.0
-    return float(w_parts[target] - w_parts[source])
+__all__ = ["boundary_vertices"]
 
 
 def boundary_vertices(partition: Partition) -> np.ndarray:

@@ -16,9 +16,9 @@ matches the physical analogy: a lone nucleon is maximally unstable).
 
 Every objective implements ``delta_move(partition, v, target)`` — the exact
 change in objective value if ``v`` moved to ``target`` — used by the
-simulated-annealing and refinement inner loops.  Only the source and target
-part terms change under a single-vertex move; all other parts keep both
-their ``cut`` and ``W`` values, so the delta needs O(deg(v)) work.
+simulated-annealing step and the ant-colony daemon.  Only the source and
+target part terms change under a single-vertex move; all other parts keep
+both their ``cut`` and ``W`` values, so the delta needs O(deg(v)) work.
 """
 
 from __future__ import annotations
@@ -112,91 +112,9 @@ class Objective(ABC):
         after = self._term(new_cut_s, new_int_s) + self._term(new_cut_t, new_int_t)
         return after - before
 
-    def delta_move_targets(
-        self,
-        partition: Partition,
-        v: int,
-        targets: np.ndarray,
-        w_parts: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Exact objective change of ``v → t`` for every ``t`` in
-        ``targets``, vectorized.
-
-        One neighbour aggregation serves all candidate targets — the
-        array-level replacement for looping :meth:`delta_move` (used by
-        fusion–fission's nucleon routing, which scores every connected
-        atom).  Entries where ``t`` equals ``v``'s own part are 0.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        source = partition.part_of(v)
-        if w_parts is None:
-            w_parts = partition.neighbor_part_weights(v)
-        deg = float(partition.graph.degree(v))
-        w_s = float(w_parts[source])
-        cut_s = float(partition.cut[source])
-        int_s = float(partition.internal[source])
-        # Same association as Partition.move / scalar delta_move (see
-        # the comment there): predicted terms match the bookkeeping.
-        new_cut_s = cut_s + (w_s - (deg - w_s))
-        new_int_s = int_s - w_s
-        w_t = w_parts[targets]
-        cut_t = partition.cut[targets]
-        int_t = partition.internal[targets]
-        with np.errstate(invalid="ignore"):
-            # inf - inf -> nan is the documented degenerate-part outcome,
-            # matching the scalar delta_move arithmetic; no warning.
-            before = self._term(cut_s, int_s) + self._terms(cut_t, int_t)
-            after = self._term(new_cut_s, new_int_s) + self._terms(
-                cut_t + ((deg - w_t) - w_t), int_t + w_t
-            )
-            delta = after - before
-        delta[targets == source] = 0.0
-        return delta
-
-    def delta_bulk(
-        self, partition: Partition, vertices: np.ndarray, target: int
-    ) -> float:
-        """Exact objective change if all ``vertices`` moved to ``target``.
-
-        Built on :meth:`Partition.bulk_move_stats
-        <repro.partition.Partition.bulk_move_stats>`: one batched arc
-        classification yields every affected part's new ``(cut, W)`` pair,
-        so the cost is O(Σ deg of the moved set + k) regardless of how
-        many parts the move touches.  Parts the move would empty
-        contribute their end-state term (0 for all three paper
-        objectives).
-        """
-        movers, d_cut, d_int = partition.bulk_move_stats(vertices, target)
-        if movers.size == 0:
-            return 0.0
-        src_counts = np.bincount(
-            partition.assignment[movers], minlength=partition.num_parts
-        )
-        emptied = (src_counts > 0) & (partition.size - src_counts == 0)
-        touched = np.flatnonzero(
-            (d_cut != 0.0) | (d_int != 0.0) | (src_counts > 0)
-        )
-        cut_after = partition.cut[touched] + d_cut[touched]
-        int_after = partition.internal[touched] + d_int[touched]
-        # A drained part leaves the partition; clamp float residue so its
-        # end-state term is an exact 0, not cut~1e-16 / W~0 garbage.
-        gone = emptied[touched]
-        cut_after[gone] = 0.0
-        int_after[gone] = 0.0
-        with np.errstate(invalid="ignore"):
-            before = self._terms(
-                partition.cut[touched], partition.internal[touched]
-            )
-            after = self._terms(cut_after, int_after)
-            return float(after.sum() - before.sum())
-
     @abstractmethod
     def _term(self, cut: float, internal: float) -> float:
         """Per-part contribution from its (cut, W) pair."""
-
-    @abstractmethod
-    def _terms(self, cut: np.ndarray, internal: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_term` over parallel (cut, W) arrays."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -215,9 +133,6 @@ class CutObjective(Objective):
 
     def _term(self, cut: float, internal: float) -> float:
         return cut
-
-    def _terms(self, cut: np.ndarray, internal: np.ndarray) -> np.ndarray:
-        return np.asarray(cut, dtype=np.float64)
 
     def delta_move(
         self,
@@ -240,21 +155,6 @@ class CutObjective(Objective):
         # edge removes 2.
         return 2.0 * (float(w_parts[source]) - float(w_parts[target]))
 
-    def delta_move_targets(
-        self,
-        partition: Partition,
-        v: int,
-        targets: np.ndarray,
-        w_parts: np.ndarray | None = None,
-    ) -> np.ndarray:
-        targets = np.asarray(targets, dtype=np.int64)
-        source = partition.part_of(v)
-        if w_parts is None:
-            w_parts = partition.neighbor_part_weights(v)
-        delta = 2.0 * (float(w_parts[source]) - w_parts[targets])
-        delta[targets == source] = 0.0
-        return delta
-
 
 class NcutObjective(Objective):
     """``Ncut(P) = Σ_A cut(A) / (cut(A) + W(A))``."""
@@ -267,16 +167,13 @@ class NcutObjective(Objective):
         )
 
     def part_terms(self, partition: Partition) -> np.ndarray:
-        return self._terms(partition.cut, partition.internal)
+        return _safe_ratio(partition.cut, partition.cut + partition.internal)
 
     def _term(self, cut: float, internal: float) -> float:
         denom = cut + internal
         if denom <= 0.0:
             return 0.0 if cut <= 0.0 else float("inf")
         return cut / denom
-
-    def _terms(self, cut: np.ndarray, internal: np.ndarray) -> np.ndarray:
-        return _safe_ratio(cut, np.asarray(cut) + np.asarray(internal))
 
 
 class McutObjective(Objective):
@@ -288,15 +185,12 @@ class McutObjective(Objective):
         return float(_safe_ratio(partition.cut, partition.internal).sum())
 
     def part_terms(self, partition: Partition) -> np.ndarray:
-        return self._terms(partition.cut, partition.internal)
+        return _safe_ratio(partition.cut, partition.internal)
 
     def _term(self, cut: float, internal: float) -> float:
         if internal <= 0.0:
             return 0.0 if cut <= 0.0 else float("inf")
         return cut / internal
-
-    def _terms(self, cut: np.ndarray, internal: np.ndarray) -> np.ndarray:
-        return _safe_ratio(cut, internal)
 
 
 _REGISTRY: dict[str, type[Objective]] = {

@@ -235,135 +235,6 @@ class Partition:
                 return source
         return target
 
-    def bulk_move_stats(
-        self, vertices: np.ndarray, target: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Aggregate bookkeeping deltas of moving ``vertices`` to ``target``.
-
-        The shared kernel behind the vectorized :meth:`move_many` and
-        :meth:`Objective.delta_bulk
-        <repro.partition.objectives.Objective.delta_bulk>`: one batched
-        CSR gather classifies every arc incident to the moved set instead
-        of per-vertex Python moves.  Nothing is mutated.
-
-        Returns
-        -------
-        (movers, d_cut, d_internal):
-            ``movers`` — deduplicated vertices not already in ``target``
-            (the ones a move would actually relocate); ``d_cut`` /
-            ``d_internal`` — ``(k,)`` float arrays such that after the
-            bulk move ``cut + d_cut`` and ``internal + d_internal`` hold
-            (entries of parts the move empties end at ~0).
-        """
-        self._check_part(target)
-        vertices = np.asarray(vertices, dtype=np.int64)
-        g = self.graph
-        if vertices.size:
-            lo, hi = int(vertices.min()), int(vertices.max())
-            if lo < 0 or hi >= g.num_vertices:
-                raise PartitionError(
-                    f"vertex id out of range 0..{g.num_vertices - 1}: "
-                    f"{lo if lo < 0 else hi}"
-                )
-        if vertices.size <= 1 or bool(np.all(np.diff(vertices) > 0)):
-            movers = vertices  # already sorted-unique (flatnonzero etc.)
-        else:
-            movers = np.unique(vertices)
-        movers = movers[self.assignment[movers] != target]
-        k = self._num_parts
-        d_cut = np.zeros(k, dtype=np.float64)
-        d_int = np.zeros(k, dtype=np.float64)
-        if movers.size == 0:
-            return movers, d_cut, d_int
-        a = self.assignment
-        rows, nbrs, wts = g.neighbors_many(movers)
-        arc_src = a[movers][rows]
-        nbr_old = a[nbrs]
-        in_set = np.zeros(g.num_vertices, dtype=bool)
-        in_set[movers] = True
-        nbr_in = in_set[nbrs]
-        # Edges with both ends moving appear as two arcs: half weight each.
-        halved = np.where(nbr_in, 0.5, 1.0) * wts
-
-        # bincount (not np.add.at): same sequential per-cell accumulation
-        # order, an order of magnitude faster.  The owner-side removals
-        # share one offset-keyed bincount (internal arcs land in the
-        # upper k bins), the far-side removal and addition share one
-        # signed bincount — two passes over the arcs instead of four.
-        was_internal = arc_src == nbr_old
-        removed = np.bincount(
-            arc_src + np.where(was_internal, k, 0),
-            weights=np.where(was_internal, halved, wts),
-            minlength=2 * k,
-        )
-        d_cut -= removed[:k]
-        d_int -= removed[k:]
-
-        # After the move every arc's owner sits in `target`; arcs whose
-        # far end neither moves nor lives in `target` stay cut.
-        now_internal = nbr_in | (nbr_old == target)
-        now_cut = ~now_internal
-        d_int[target] += float(halved[now_internal].sum())
-        d_cut[target] += float(wts[now_cut].sum())
-        # Far side: an old cut edge is cleared by the mirror arc when the
-        # far end moves too, so only outsiders settle (-); a new cut edge
-        # always has an outsider far end (+).
-        far = ~was_internal & ~nbr_in
-        signed = wts * (
-            now_cut.astype(np.float64) - far.astype(np.float64)
-        )
-        d_cut += np.bincount(nbr_old, weights=signed, minlength=k)
-        return movers, d_cut, d_int
-
-    def move_many(self, vertices: np.ndarray, target: int) -> int:
-        """Move several vertices to ``target`` in one vectorized update.
-
-        Equivalent to calling :meth:`move` per vertex (same final
-        assignment, including the relabelling when the moves empty a
-        part), but the bookkeeping is recomputed from one batched arc
-        classification (:meth:`bulk_move_stats`) plus ``bincount``
-        aggregation — no per-vertex Python work.  The rare case of the
-        moves emptying *several* parts falls back to the sequential loop,
-        whose mid-sequence relabelling the bulk path cannot reproduce.
-
-        Returns the (possibly relabelled) target part id after all moves.
-        """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        movers, d_cut, d_int = self.bulk_move_stats(vertices, target)
-        if movers.size == 0:
-            return target
-        src_counts = np.bincount(
-            self.assignment[movers], minlength=self._num_parts
-        )
-        emptied = np.flatnonzero(
-            (src_counts > 0) & (self.size - src_counts == 0)
-        )
-        if emptied.size > 1:
-            # Sequential semantics (parts vanish and relabel mid-stream).
-            for v in vertices:
-                target = self.move(int(v), target)
-            return target
-        g = self.graph
-        vw_moved = np.bincount(
-            self.assignment[movers],
-            weights=g.vertex_weights[movers],
-            minlength=self._num_parts,
-        )
-        self.cut += d_cut
-        self.internal += d_int
-        self.size -= src_counts
-        self.size[target] += movers.size
-        self.vertex_weight -= vw_moved
-        self.vertex_weight[target] += float(vw_moved.sum())
-        self.assignment[movers] = target
-        if emptied.size == 1:
-            hole = int(emptied[0])
-            last = self._num_parts - 1
-            self._remove_part(hole)
-            if target == last:
-                return hole
-        return target
-
     # ------------------------------------------------------------------
     # Structural operations used by fusion-fission
     # ------------------------------------------------------------------

@@ -1,16 +1,8 @@
-"""Loop-level reference implementations of the bulk partition operations.
+"""Loop-level reference for :meth:`~repro.partition.Partition.weight_between`.
 
-These are the pre-vectorization kernels, kept verbatim for two jobs:
-
-* **equivalence tests** — the optimized array-level kernels in
-  :class:`~repro.partition.Partition` must produce the same assignment
-  (and the same bookkeeping within float tolerance) as these;
-* **the perf-regression harness** — ``repro bench perf`` times optimized
-  vs. reference to report a tracked speedup (see ``docs/performance.md``).
-
-They operate on a live :class:`Partition` through its public O(deg)
-single-vertex :meth:`~repro.partition.Partition.move`, exactly as the
-old ``move_many`` did.
+``weight_between_reference`` is the per-vertex loop the batched
+integral-weight kernel replaced, kept verbatim so the equivalence tests
+can hold the kernel to it on seeded graphs.
 """
 
 from __future__ import annotations
@@ -19,20 +11,7 @@ import numpy as np
 
 from repro.partition.partition import Partition
 
-__all__ = ["move_many_reference", "weight_between_reference"]
-
-
-def move_many_reference(
-    partition: Partition, vertices: np.ndarray, target: int
-) -> int:
-    """Move vertices to ``target`` one by one (the pre-PR-4 ``move_many``).
-
-    O(Σ deg) with per-vertex Python dispatch; returns the (possibly
-    relabelled) target part id after all moves.
-    """
-    for v in np.asarray(vertices, dtype=np.int64):
-        target = partition.move(int(v), target)
-    return target
+__all__ = ["weight_between_reference"]
 
 
 def weight_between_reference(partition: Partition, a: int, b: int) -> float:

@@ -142,7 +142,6 @@ def fm_refine(
     partition: Partition,
     max_passes: int = 8,
     balance_tolerance: float = 0.10,
-    allow_negative_moves: bool = True,
 ) -> float:
     """Run FM passes until no pass improves or ``max_passes`` is reached.
 
@@ -157,10 +156,6 @@ def fm_refine(
         would exceed it are inadmissible.  The ceiling never drops below
         the current maximum part weight, so refinement of an already
         imbalanced partition is not dead-locked.
-    allow_negative_moves:
-        If True (classic FM), tentatively accept worsening moves within a
-        pass, relying on the rollback to the best prefix; if False, a pass
-        stops at the first non-improving candidate (faster, weaker).
 
     Returns
     -------
@@ -210,7 +205,7 @@ def fm_refine(
         touched = [0] * n  # last epoch a neighbour of v moved
         masks_epoch = 0  # last epoch a shared admissibility bit flipped
         boundary = boundary_vertices(partition)
-        table = GainTable(partition, None)
+        table = GainTable(partition)
         w_parts_table = table.w_parts
         materialized = table.materialized
         if uniform_vw:
@@ -224,7 +219,7 @@ def fm_refine(
         else:
             over_bits = blocked_bits = None
         if boundary.size:
-            table.refresh(boundary, assume_unique=True)
+            table.refresh(boundary)
             gains0, targets0, valid0 = _candidates_from_rows(
                 partition, w_parts_table[boundary], boundary,
                 max_weight, min_weight, over_bits, blocked_bits,
@@ -288,8 +283,6 @@ def fm_refine(
                     heappush(heap, (-gain, stamp, v, fresh_target, epoch))
                     stamp += 1
                     continue
-            if gain < 0 and not allow_negative_moves:
-                break
             source = assign_list[v]
             partition.move(
                 v, target, allow_empty_source=False,
@@ -332,7 +325,7 @@ def fm_refine(
                     # full build.
                     known = materialized[fresh]
                     if not known.all():
-                        table.refresh(fresh[~known], assume_unique=True)
+                        table.refresh(fresh[~known])
                     have = fresh[known]
                     w_have = wts_v[sel][known]
                     w_parts_table[have, source] -= w_have
@@ -340,7 +333,7 @@ def fm_refine(
                 else:
                     # Float weights: rebuild the touched rows from their
                     # CSR slices so each equals a fresh aggregation.
-                    table.refresh(fresh, assume_unique=True)
+                    table.refresh(fresh)
                 if scalar_scan and fresh.size * k <= 256:
                     # Small block: the same row scan as pop-time
                     # revalidation beats ~15 NumPy dispatches.

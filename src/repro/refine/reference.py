@@ -55,7 +55,6 @@ def fm_refine_reference(
     partition: Partition,
     max_passes: int = 8,
     balance_tolerance: float = 0.10,
-    allow_negative_moves: bool = True,
 ) -> float:
     """Per-vertex-Python FM passes (see :func:`repro.refine.fm.fm_refine`)."""
     total_improvement = 0.0
@@ -98,8 +97,6 @@ def fm_refine_reference(
                 heapq.heappush(heap, (-gain, stamp, v, fresh_target))
                 stamp += 1
                 continue
-            if gain < 0 and not allow_negative_moves:
-                break
             source = partition.part_of(v)
             partition.move(v, target, allow_empty_source=False)
             locked[v] = True

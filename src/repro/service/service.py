@@ -201,6 +201,21 @@ class SolveService:
         self._graphs[fingerprint] = graph
         return graph, fingerprint
 
+    def _release_graph(self, fingerprint: str | None) -> None:
+        """Drop an inline graph once no unfinished job runs on it.
+
+        Instance graphs stay memoised: clients resubmit registered
+        instances, and rebuilding one costs tens of milliseconds.
+        """
+        if fingerprint in self._instance_graphs.values():
+            return
+        if any(
+            job.fingerprint == fingerprint and not job.terminal
+            for job in self.jobs.values()
+        ):
+            return
+        self._graphs.pop(fingerprint, None)
+
     # -- submission / queries ----------------------------------------------
     def submit(self, payload: dict) -> dict:
         """Validate, cache-check, persist and enqueue one job.
@@ -217,7 +232,11 @@ class SolveService:
         # cannot run, fail here, not at the first slice.
         solver = get_solver(spec.method, spec.k, **dict(spec.options))
         graph, fingerprint = self._graph_for(spec)
-        solver.check_request(spec.request(graph))
+        try:
+            solver.check_request(spec.request(graph))
+        except ReproError:
+            self._release_graph(fingerprint)
+            raise
         if spec.weight is not None:
             self.scheduler.set_weight(spec.tenant, spec.weight)
         key = cache_key(fingerprint, spec)
@@ -236,7 +255,9 @@ class SolveService:
             job.cached = True
         self.jobs[job.id] = job
         self.store.save(job)
-        if not job.terminal:
+        if job.terminal:
+            self._release_graph(fingerprint)
+        else:
             self.scheduler.enqueue(spec.tenant, job.id)
             self._notify()
         return job.as_dict()
@@ -266,6 +287,7 @@ class SolveService:
         ):
             job.state = JOB_CANCELLED
             self.store.save(job)
+            self._release_graph(job.fingerprint)
         else:
             session = getattr(job, "live_session", None)
             if session is not None:
@@ -541,6 +563,8 @@ class SolveService:
         else:  # error
             self._apply_error(job, outcome)
         self.store.save(job)
+        if job.terminal:
+            self._release_graph(job.fingerprint)
 
     def _apply_error(self, job: Job, outcome: dict) -> None:
         error = outcome.get("error", "unknown error")

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.common.rng import SeedLike
+from repro.graph.graph import Graph
 from repro.workloads.dynamic import DynamicInstance, run_dynamic
 from repro.workloads.instance import (
     BandVerdict,
@@ -35,17 +36,15 @@ REPORT_SCHEMA = "repro-workloads/v1"
 
 
 def check_bands(
-    instance: WorkloadInstance, seed: SeedLike = None
+    instance: WorkloadInstance, graph: Graph
 ) -> list[BandVerdict]:
-    """Run every frozen band pair of a static instance; return verdicts.
+    """Run every frozen band pair of a static instance on ``graph`` (the
+    instance built at some graph seed); return verdicts.
 
-    ``seed`` overrides the *graph* seed only (``None`` = the frozen
-    default the bands were calibrated on); the solver seeds are part of
-    the frozen pairs and never change.
+    The solver seeds are part of the frozen pairs and never change.
     """
     from repro.api import solve
 
-    graph = instance.build(seed)
     verdicts = []
     for band in instance.bands:
         report = solve(
@@ -112,7 +111,7 @@ def run_instance(
             "num_edges": graph.num_edges,
             "fingerprint": graph_fingerprint(graph),
         }
-        verdicts = check_bands(instance, seed)
+        verdicts = check_bands(instance, graph)
         report["bands"] = [v.as_dict() for v in verdicts]
         report["ok"] = all(v.ok for v in verdicts)
     if json_path is not None:

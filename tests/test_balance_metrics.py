@@ -1,4 +1,4 @@
-"""Unit tests for balance metrics, move helpers and partition reports."""
+"""Unit tests for balance metrics, the boundary scan and partition reports."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.partition import (
     imbalance,
     is_balanced,
     max_part_weight,
-    move_gain_cut,
-    neighbor_part_weights,
     part_weight_bounds,
 )
 from repro.partition.moves import boundary_vertices
@@ -44,24 +42,6 @@ class TestBalance:
 
 
 class TestMoveHelpers:
-    def test_neighbor_part_weights_function(self, grid_partition):
-        w = neighbor_part_weights(grid_partition, 0)
-        assert w.shape == (4,)
-        assert w.sum() == pytest.approx(grid_partition.graph.degree(0))
-
-    def test_gain_sign(self, grid_partition):
-        # Vertex 15 is interior to band 0 minus boundary effects; moving a
-        # band-boundary vertex towards its neighbour band has gain >= -deg.
-        v = 16  # first vertex of band 1, adjacent to band 0
-        g = move_gain_cut(grid_partition, v, 0)
-        before = grid_partition.edge_cut()
-        grid_partition.move(v, 0)
-        after = grid_partition.edge_cut()
-        assert before - after == pytest.approx(g)
-
-    def test_gain_zero_same_part(self, grid_partition):
-        assert move_gain_cut(grid_partition, 0, 0) == 0.0
-
     def test_boundary_vertices(self, grid_partition):
         b = boundary_vertices(grid_partition)
         # Bands of 2 rows: every row adjacent to a band boundary is on the

@@ -1,4 +1,4 @@
-"""The batched gain engine, graph gather primitives and bulk-op guards."""
+"""The gain table, graph gather primitives and split_part guards."""
 
 import numpy as np
 import pytest
@@ -53,7 +53,8 @@ class TestNeighborsMany:
 class TestGainTable:
     def test_rows_match_neighbor_part_weights(self, partitioned_grid):
         p = partitioned_grid
-        table = GainTable(p, np.arange(p.graph.num_vertices))
+        table = GainTable(p)
+        table.ensure(np.arange(p.graph.num_vertices))
         for v in range(p.graph.num_vertices):
             assert np.array_equal(table.row(v), p.neighbor_part_weights(v))
 
@@ -65,50 +66,12 @@ class TestGainTable:
         assert table.materialized[5]
         assert np.array_equal(row, p.neighbor_part_weights(5))
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_apply_move_keeps_rows_current(self, partitioned_grid, exact):
-        p = partitioned_grid
-        table = GainTable(p, np.arange(p.graph.num_vertices))
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            v = int(rng.integers(p.graph.num_vertices))
-            t = int(rng.integers(p.num_parts))
-            s = p.part_of(v)
-            if s == t or p.size[s] <= 1:
-                continue
-            p.move(v, t, allow_empty_source=False, w_parts=table.row(v))
-            table.apply_move(v, s, t, exact=exact)
-        for v in range(p.graph.num_vertices):
-            assert np.allclose(table.row(v), p.neighbor_part_weights(v))
-
     def test_stale_k_is_rejected(self, partitioned_grid):
         p = partitioned_grid
         table = GainTable(p)
         p.merge_parts(0, 1)
         with pytest.raises(PartitionError, match="fresh table"):
             table.ensure(np.array([0]))
-
-
-class TestBulkMoveStats:
-    def test_deltas_match_recomputation(self):
-        graph, _ = random_geometric_graph(120, 0.15, seed=2)
-        rng = np.random.default_rng(4)
-        assignment = rng.integers(0, 5, graph.num_vertices)
-        assignment[:5] = np.arange(5)
-        p = Partition(graph, assignment)
-        vertices = rng.choice(graph.num_vertices, 30, replace=False)
-        movers, d_cut, d_int = p.bulk_move_stats(vertices, 2)
-        after = p.copy()
-        after.move_many(vertices, 2)
-        if after.num_parts == p.num_parts:  # no drain in this draw
-            assert np.allclose(p.cut + d_cut, after.cut)
-            assert np.allclose(p.internal + d_int, after.internal)
-
-    def test_rejects_out_of_range_vertices(self, partitioned_grid):
-        with pytest.raises(PartitionError, match="out of range"):
-            partitioned_grid.bulk_move_stats(np.array([999]), 0)
-        with pytest.raises(PartitionError, match="out of range"):
-            partitioned_grid.bulk_move_stats(np.array([-3]), 0)
 
 
 class TestSplitPartValidation:

@@ -50,6 +50,27 @@ class TestConstruction:
         with pytest.raises(GraphError, match="non-negative"):
             Graph.from_edges(2, [(0, 1, -1.0)])
 
+    @pytest.mark.parametrize("edge_w, vertex_weights", [
+        (float("nan"), None),
+        (float("inf"), None),
+        (1.0, [1.0, -2.0, 1.0]),
+        (1.0, [1.0, float("nan"), 1.0]),
+    ], ids=["nan-edge", "inf-edge", "negative-vertex", "nan-vertex"])
+    def test_rejects_non_finite_or_negative_weights(
+        self, edge_w, vertex_weights
+    ):
+        with pytest.raises(GraphError, match="finite and non-negative"):
+            Graph.from_edges(
+                3, [(0, 1, edge_w), (1, 2, 1.0)],
+                vertex_weights=vertex_weights,
+            )
+
+    def test_validation_names_bad_weights_before_symmetry(self):
+        # Symmetric structure, NaN weights: the weight is the fault.
+        with pytest.raises(GraphError, match="edge weights must be finite"):
+            Graph(np.array([0, 1, 2]), np.array([1, 0]),
+                  np.array([np.nan, np.nan]))
+
     def test_rejects_negative_vertex_id(self):
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(-1, 1, 1.0)])
@@ -167,6 +188,14 @@ class TestBuilder:
         g = GraphBuilder(4).build()
         assert g.num_vertices == 4
         assert g.num_edges == 0
+
+    def test_edgeless_build_checks_vertex_weights(self):
+        b = GraphBuilder(3)
+        b.set_vertex_weight(1, 4.0)
+        assert b.build().vertex_weights.tolist() == [1.0, 4.0, 1.0]
+        b.set_vertex_weight(2, float("nan"))
+        with pytest.raises(GraphError, match="vertex weights"):
+            b.build()
 
     def test_add_edges_iterable(self):
         b = GraphBuilder(3)

@@ -140,6 +140,24 @@ class TestLifecycle:
         assert "Warning" not in proc.stderr
         assert _strays() == before
 
+    @pytest.mark.skipif(not SHM_DIR.is_dir(), reason="needs /dev/shm")
+    def test_create_sweeps_segments_of_killed_creators(self, graph):
+        with GraphStore.create(graph) as live:
+            proc = _run_py(
+                "import os, signal\n"
+                "from repro.graph import weighted_caveman_graph\n"
+                "from repro.graph.store import GraphStore\n"
+                "store = GraphStore.create(weighted_caveman_graph(4, 6))\n"
+                "print(store.handle.segment, flush=True)\n"
+                "os.kill(os.getpid(), signal.SIGKILL)\n"
+            )
+            assert proc.returncode == -9, proc.stderr
+            orphan = proc.stdout.strip()
+            assert orphan in _strays()  # SIGKILL skipped every unlink
+            with GraphStore.create(graph):
+                assert orphan not in _strays()
+                assert live.handle.segment in _strays()
+
     def test_attach_sends_the_tracker_nothing(self, graph, monkeypatch):
         """Neither the creator nor attachers talk to the resource
         tracker: forked workers share one tracker, interleaved

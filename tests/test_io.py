@@ -108,7 +108,9 @@ class TestJson:
         '{"n": 3, "edges": [[0, 1, 1.0]], "vertex_weights": [1.0]}',
         '{"n": 1e400, "edges": []}',
         '{"n": 3, "edges": ',
-    ], ids=["short-edge", "vertex-weights", "infinite-n", "not-json"])
+        '{"n": 3, "edges": [[0, 1, NaN], [1, 2, 1.0]]}',
+    ], ids=["short-edge", "vertex-weights", "infinite-n", "not-json",
+            "nan-weight"])
     def test_rejects_malformed_content(self, tmp_path, text):
         (tmp_path / "bad.json").write_text(text)
         with pytest.raises(GraphError, match="bad.json"):

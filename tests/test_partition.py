@@ -104,12 +104,6 @@ class TestMoves:
         with pytest.raises(PartitionError, match="empty"):
             p.move(0, 1, allow_empty_source=False)
 
-    def test_move_many(self, grid_partition):
-        p = grid_partition
-        p.move_many(np.array([16, 17, 18]), 0)
-        assert p.size[0] == 19
-        p.check()
-
 
 class TestStructuralOps:
     def test_weight_between(self, barbell):

@@ -16,9 +16,6 @@ from repro.cli import main
 EXPECTED_BENCHMARKS = {
     "fm_pass",
     "fm_gain_engine",
-    "move_many",
-    "objective_delta_mcut",
-    "objective_delta_cut",
     "coarsen_level",
     "ff_step",
     "ff_initialize",

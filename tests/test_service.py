@@ -211,6 +211,8 @@ class TestServiceEndToEnd:
         stats = service.stats()
         assert stats["cache"]["hits"] == 1
         assert stats["cache"]["stores"] == 1
+        # Neither the finished job nor the cache hit holds its graph.
+        assert service._graphs == {}
 
     def test_sliced_equals_unsliced(self, tmp_path):
         """A job sliced into 2-iteration time slices finishes with the
@@ -249,8 +251,38 @@ class TestServiceEndToEnd:
         card = service.submit(ring_payload(max_iterations=500))
         cancelled = service.cancel(card["id"])
         assert cancelled["state"] == "cancelled"
+        assert service._graphs == {}
         drain(service)
         assert service.get_job(card["id"]).state == "cancelled"
+
+    def test_shared_inline_graph_lives_until_its_last_job_ends(
+        self, tmp_path
+    ):
+        service = SolveService(iter_sliced_config(tmp_path))
+        first = service.submit(ring_payload(seed=1))
+        second = service.submit(ring_payload(seed=2))
+        fingerprint = first["fingerprint"]
+        assert second["fingerprint"] == fingerprint
+        service.cancel(first["id"])
+        assert list(service._graphs) == [fingerprint]
+        drain(service)
+        assert service.get_job(second["id"]).state == "done"
+        assert service._graphs == {}
+
+    def test_refused_submits_keep_no_inline_graph(self, tmp_path):
+        service = SolveService(iter_sliced_config(tmp_path))
+        for n in range(10, 15):
+            with pytest.raises(ConfigurationError, match="island"):
+                service.submit(
+                    ring_payload(n=n, method="multilevel", islands=2)
+                )
+        assert service._graphs == {}
+        assert service.jobs == {}
+        # Registered instances stay memoised for the next submit.
+        with pytest.raises(ConfigurationError, match="island"):
+            service.submit({"instance": "grid-16", "k": 4,
+                            "method": "multilevel", "islands": 2})
+        assert len(service._graphs) == 1
 
     def test_submit_validation_errors_do_not_create_jobs(self, tmp_path):
         service = SolveService(iter_sliced_config(tmp_path))

@@ -103,6 +103,9 @@ class TestHTTPEndpoints:
         for payload in (
             ring_payload(method="multilevel", islands=2),
             ring_payload(graph={"n": 3, "edges": [[0]]}),
+            ring_payload(graph={
+                "n": 3, "edges": [[0, 1, float("nan")], [1, 2, 1.0]],
+            }),
         ):
             with pytest.raises(ServiceHTTPError) as excinfo:
                 client.submit(payload)

@@ -12,6 +12,8 @@ call ``repro workloads run`` makes — so the CLI's printed verdicts and
 this gate can never disagree.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.workloads import (
@@ -90,3 +92,21 @@ def test_caveman_bands_find_planted_optimum():
     report = run_instance("caveman-8x6")
     for verdict in report["bands"]:
         assert verdict["cut"] == 16.0
+
+
+def test_run_instance_builds_the_graph_once(monkeypatch):
+    instance = INSTANCE_REGISTRY["caveman-8x6"]
+    expected = run_instance("caveman-8x6")["bands"]
+    seeds = []
+
+    def counting_builder(seed):
+        seeds.append(seed)
+        return instance.builder(seed)
+
+    monkeypatch.setitem(
+        INSTANCE_REGISTRY, "caveman-8x6",
+        dataclasses.replace(instance, builder=counting_builder),
+    )
+    report = run_instance("caveman-8x6")
+    assert seeds == [instance.default_seed]
+    assert report["bands"] == expected
