@@ -19,8 +19,8 @@ Two execution modes, selected by ``SolveRequest.island_jobs``:
   round-robin in the parent process.
 * **parallel** (``island_jobs>1``) — each round, running islands are
   checkpointed, shipped to a :class:`~repro.graph.pool.GraphPool` (the
-  worker pool the portfolio runner uses, whose workers map the graph
-  once from shared memory), stepped there, and rebuilt in the parent
+  worker pool the portfolio runner uses, whose workers receive the
+  graph once at start), stepped there, and rebuilt in the parent
   from the returned checkpoints; the round waits for every island.
   Checkpoints are bit-exact for graphs with integral edge weights (the
   session determinism contract), so serial and parallel runs of such a
@@ -300,8 +300,8 @@ class IslandGroup:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Tear down the island pool and its shared graph segment
-        (idempotent; called automatically when the last island stops)."""
+        """Tear down the island pool (idempotent; called automatically
+        when the last island stops)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None

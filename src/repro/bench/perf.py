@@ -24,13 +24,6 @@ Benchmarks
   vectorized matched-prelude cascade vs the exact O(n²)-ish law loop
   (the hot spot PR 4 left behind).  Verification checks both cascades
   reach the target atom count; the partitions differ by design.
-* ``graph_ship``      — shipping one graph to a worker pool: shared-
-  memory segment creation + O(1) handle pickling vs pickling the full
-  CSR arrays.  ``payload_bytes`` (handle) vs ``reference_payload_bytes``
-  (pickled CSR) is the O(edges) → O(1) transport win; full-size runs
-  bump this instance to n ≥ 100 000 so the asymptotics are visible.
-* ``graph_attach``    — worker-side cost of materialising the graph:
-  zero-copy segment attach vs unpickling the CSR arrays.
 * ``islands_1/2/4``   — island-model simulated annealing throughput at
   1, 2 and 4 islands over a fixed round budget; ``islands_1`` verifies
   bit-identity against the plain sequential session.
@@ -38,7 +31,7 @@ Benchmarks
 Run ``repro bench perf [--quick] [--json OUT]`` or
 ``python -m repro.bench.perf``.  ``BENCH_PR4.json`` at the repo root is
 the committed trajectory snapshot for PR 4; ``BENCH_PR7.json`` adds the
-graph-transport and island rows.
+island rows (and two graph-transport rows this suite no longer runs).
 """
 
 from __future__ import annotations
@@ -75,10 +68,6 @@ class PerfRecord:
     reference_seconds: float | None = None
     speedup: float | None = None
     matches_reference: bool | None = None
-    #: bytes crossing the process boundary per task (transport benches)
-    payload_bytes: int | None = None
-    #: same, for the baseline transport being compared against
-    reference_payload_bytes: int | None = None
     notes: str = ""
 
     def as_dict(self) -> dict:
@@ -280,76 +269,6 @@ def _bench_ff_initialize(graph: Graph, k: int, reps) -> PerfRecord:
     )
 
 
-def _bench_graph_transport(
-    n: int, seed: int, reps: int
-) -> list[PerfRecord]:
-    import pickle
-
-    from repro.graph.store import _ATTACHMENTS, GraphStore
-
-    graph = _unit_geometric(n, seed)
-
-    # "Ship": what putting the graph into a pool's initargs costs the
-    # parent — segment create + handle pickle vs pickling the CSR arrays.
-    def ship_shm():
-        store = GraphStore.create(graph)
-        try:
-            pickle.dumps(store.handle)
-        finally:
-            store.destroy()
-
-    sec = _best_of(ship_shm, reps)
-    ref = _best_of(lambda: pickle.dumps(graph), reps)
-
-    store = GraphStore.create(graph)
-    handle = store.handle
-    handle_blob = pickle.dumps(handle)
-    graph_blob = pickle.dumps(graph)
-    ship = PerfRecord(
-        name="graph_ship",
-        n=graph.num_vertices, m=graph.num_edges, k=0, reps=reps,
-        seconds=sec, ops_per_second=graph.num_edges / sec,
-        unit="edges/s",
-        reference_seconds=ref, speedup=ref / sec,
-        matches_reference=None,
-        payload_bytes=len(handle_blob),
-        reference_payload_bytes=len(graph_blob),
-        notes=f"segment create + O(1) handle pickle vs full CSR pickle; "
-              f"CSR arrays are {handle.total_nbytes()} B in memory",
-    )
-
-    # "Attach": what a worker pays to materialise the graph — zero-copy
-    # segment attach vs unpickling the CSR arrays.  The per-process
-    # attachment cache is evicted each rep so every call re-attaches.
-    def attach_shm():
-        _ATTACHMENTS.pop(handle.segment, None)
-        return GraphStore.attach(pickle.loads(handle_blob)).graph()
-
-    attached = attach_shm()
-    matches = bool(
-        np.array_equal(attached.indptr, graph.indptr)
-        and np.array_equal(attached.indices, graph.indices)
-        and np.array_equal(attached.weights, graph.weights)
-        and np.array_equal(attached.vertex_weights, graph.vertex_weights)
-    )
-    a_sec = _best_of(attach_shm, reps)
-    a_ref = _best_of(lambda: pickle.loads(graph_blob), reps)
-    attach = PerfRecord(
-        name="graph_attach",
-        n=graph.num_vertices, m=graph.num_edges, k=0, reps=reps,
-        seconds=a_sec, ops_per_second=graph.num_edges / a_sec,
-        unit="edges/s",
-        reference_seconds=a_ref, speedup=a_ref / a_sec,
-        matches_reference=matches,
-        payload_bytes=len(handle_blob),
-        reference_payload_bytes=len(graph_blob),
-        notes="zero-copy attach (cache evicted per rep) vs CSR unpickle",
-    )
-    _ATTACHMENTS.pop(handle.segment, None)
-    store.destroy()
-    return [ship, attach]
-
-
 def _bench_island_scaling(n: int, reps: int) -> list[PerfRecord]:
     from repro.annealing.sa import SimulatedAnnealingPartitioner
     from repro.api.request import Budget, SolveRequest
@@ -422,10 +341,6 @@ def run_perf_suite(
 ) -> list[PerfRecord]:
     """Run every microbenchmark; returns the records in run order."""
     n, reps = effective_params(n, reps, quick)
-    # Transport asymptotics only show at scale: full-size runs bump the
-    # graph_ship / graph_attach instance to >= 100k vertices.  Quick
-    # mode and deliberately tiny instances keep their requested size.
-    ship_n = n if n < 20_000 else max(n, 100_000)
     graph = _unit_geometric(n, seed)
     assignment = _noisy_strips(graph.num_vertices, k, seed=0)
     records = [
@@ -434,7 +349,6 @@ def run_perf_suite(
         _bench_coarsen_level(graph, reps),
         _bench_ff_step(n, k, reps),
         _bench_ff_initialize(graph, k, reps),
-        *_bench_graph_transport(ship_n, seed, reps),
         *_bench_island_scaling(n, reps),
     ]
     return records

@@ -22,8 +22,8 @@ kind            raised as                                 retryable*
 ``error``       anything else                             no
 ==============  ========================================  ==========
 
-\\* default :class:`~repro.engine.retry.RetryPolicy` classification;
-callers can widen or narrow ``retry_kinds``.
+\\* :class:`~repro.engine.retry.RetryPolicy` retries exactly these kinds
+(``repro.engine.retry.DEFAULT_RETRY_KINDS``).
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ this package makes that the first-class execution primitive:
 * :mod:`repro.engine.spec` — :class:`SolverSpec`, declarative solver
   adapters over the :mod:`repro.bench.registry` factories;
 * :mod:`repro.engine.runner` — :class:`PortfolioRunner`, the
-  (spec × seed) grid executor: one scheduling loop over a shared-memory
-  process pool (``jobs>1``) or an inline pool in the caller's process
+  (spec × seed) grid executor: one scheduling loop over a process pool
+  (``jobs>1``) or an inline pool in the caller's process
   (``jobs=1``), with deterministic seeding and deadline cancellation;
 * :mod:`repro.engine.aggregate` — :class:`RunRecord`,
   :class:`MethodStats` and :class:`PortfolioResult` reporting;

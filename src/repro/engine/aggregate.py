@@ -10,11 +10,7 @@ consumers can detect format drift).
 
 Schema history: ``v3`` added the fault-tolerance fields ``attempts``,
 ``error_kind`` and ``fault_trace`` to every run record (``v2`` added the
-``version`` stamp).  Additive within ``v3``: every run record now also
-carries ``graph_transport`` (``"shm"`` from the process pool,
-``"inline"`` from ``jobs=1``) and ``payload_bytes`` (what each worker
-received in place of the graph), making the zero-copy win auditable
-from the report alone.
+``version`` stamp).
 """
 
 from __future__ import annotations
@@ -73,15 +69,9 @@ class RunRecord:
         Chronological notes from the fault-tolerance layer: injected
         faults, worker deaths, reap events, retries, pool rebuilds.
         Empty for an uneventful run.
-    graph_transport:
-        How the graph reached this run's executor: ``"shm"`` (pool
-        workers map one shared-memory copy through an O(1) handle) or
-        ``"inline"`` (``jobs=1`` runs in the caller's process, so the
-        graph goes nowhere).  ``None`` on records built outside the
-        runner.
     payload_bytes:
-        Bytes each worker received in place of the graph — the handle's
-        pickled size for shm, 0 inline.
+        Always ``None``: nothing sets it.  Kept only for callers that
+        still read it; it is not in :meth:`as_dict`.
     """
 
     label: str
@@ -97,7 +87,6 @@ class RunRecord:
     error_kind: str | None = None
     attempts: int = 0
     fault_trace: list[str] = field(default_factory=list, repr=False)
-    graph_transport: str | None = None
     payload_bytes: int | None = None
 
     @property
@@ -120,8 +109,6 @@ class RunRecord:
             "error_kind": self.error_kind,
             "attempts": self.attempts,
             "fault_trace": list(self.fault_trace),
-            "graph_transport": self.graph_transport,
-            "payload_bytes": self.payload_bytes,
             "report": self.report.as_dict() if self.report is not None else None,
         }
         if include_assignment and self.assignment is not None:

@@ -19,40 +19,43 @@ from repro.common.exceptions import (
     ConfigurationError,
 )
 
-__all__ = ["RetryPolicy", "DEFAULT_RETRY_KINDS"]
+__all__ = [
+    "RetryPolicy", "DEFAULT_RETRY_KINDS", "BACKOFF_FACTOR", "MAX_BACKOFF",
+]
 
-#: Error kinds retried by default: spurious-by-nature failures.  Invalid
+#: Error kinds that are retried: spurious-by-nature failures.  Invalid
 #: results and configuration errors are deterministic — retrying the same
 #: seed reproduces them — so they are excluded.
 DEFAULT_RETRY_KINDS = frozenset(
     {ERROR_KIND_TRANSIENT, ERROR_KIND_CRASH, ERROR_KIND_TIMEOUT}
 )
 
+#: Multiplier applied to the backoff per subsequent failure.
+BACKOFF_FACTOR = 2.0
+
+#: Ceiling on any single backoff sleep, in seconds.
+MAX_BACKOFF = 30.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Max attempts, exponential backoff, and retryable-kind selection.
+    """Max attempts and exponential backoff.
 
     Attributes
     ----------
     max_attempts:
         Total executions per task (1 = no retries, the default).
     backoff:
-        Seconds before the second attempt; 0 disables sleeping.
-    backoff_factor:
-        Multiplier applied per subsequent failure (exponential backoff).
-    max_backoff:
-        Ceiling on any single backoff sleep.
-    retry_kinds:
-        Error kinds (see :mod:`repro.common.exceptions`) eligible for
-        retry; anything else fails permanently on first occurrence.
+        Seconds before the second attempt; 0 disables sleeping.  Each
+        further failure multiplies it by :data:`BACKOFF_FACTOR`, up to
+        :data:`MAX_BACKOFF`.
+
+    Only failures of a kind in :data:`DEFAULT_RETRY_KINDS` are retried;
+    anything else fails permanently on first occurrence.
     """
 
     max_attempts: int = 1
     backoff: float = 0.1
-    backoff_factor: float = 2.0
-    max_backoff: float = 30.0
-    retry_kinds: frozenset[str] = DEFAULT_RETRY_KINDS
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -61,40 +64,17 @@ class RetryPolicy:
             )
         if self.backoff < 0:
             raise ConfigurationError(f"backoff must be >= 0, got {self.backoff}")
-        if self.backoff_factor < 1:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if self.max_backoff < 0:
-            raise ConfigurationError(
-                f"max_backoff must be >= 0, got {self.max_backoff}"
-            )
-        # Accept any iterable of kinds; store hashable and immutable.
-        object.__setattr__(self, "retry_kinds", frozenset(self.retry_kinds))
 
     def should_retry(self, error_kind: str | None, attempt: int) -> bool:
         """True when attempt number ``attempt`` (1-based) failed with
         ``error_kind`` and another attempt is allowed."""
         return (
             attempt < self.max_attempts
-            and error_kind is not None
-            and error_kind in self.retry_kinds
+            and error_kind in DEFAULT_RETRY_KINDS
         )
 
     def backoff_seconds(self, attempt: int) -> float:
         """Sleep before the attempt following failed attempt ``attempt``."""
         if self.backoff <= 0:
             return 0.0
-        return min(
-            self.max_backoff, self.backoff * self.backoff_factor ** (attempt - 1)
-        )
-
-    def as_dict(self) -> dict:
-        """JSON view for portfolio reports."""
-        return {
-            "max_attempts": self.max_attempts,
-            "backoff": self.backoff,
-            "backoff_factor": self.backoff_factor,
-            "max_backoff": self.max_backoff,
-            "retry_kinds": sorted(self.retry_kinds),
-        }
+        return min(MAX_BACKOFF, self.backoff * BACKOFF_FACTOR ** (attempt - 1))

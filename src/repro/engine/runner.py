@@ -8,12 +8,11 @@ grid; every task drives its entrant as a :class:`repro.api.SolveSession`
 two pools from :mod:`repro.graph.pool`, which share an interface:
 
 * **process pool** (``jobs>1``) — a :class:`~repro.graph.pool.GraphPool`
-  publishes the graph to one shared-memory segment, and its workers map
-  it once through the executor's initializer; tasks then ship only the
-  spec and seed, never the graph.  Self-heal rebuilds re-attach the
-  *same* segment, and the pool is closed in the runner's ``finally`` —
-  normal exit, deadline cancel and worker crashes all unlink the segment
-  exactly once.
+  hands the graph to its workers once, through the executor's
+  initializer (forked workers inherit it copy-on-write); tasks then
+  ship only the spec and seed, never the graph.  Self-heal rebuilds
+  start workers over the *same* graph, and the pool is closed on every
+  exit path — normal exit, deadline cancel and worker crashes.
 * **inline** (``jobs=1``) — an :class:`~repro.graph.pool.InlinePool`
   runs the tasks one at a time in the caller's process, each on a
   private copy of its task (as pickling to a worker gives), so results
@@ -368,9 +367,9 @@ class PortfolioRunner:
         Optional :class:`~repro.engine.faults.FaultInjector` for chaos
         testing (default: no faults).
     graph_transport:
-        Accepted for compatibility; ``"shm"`` is the only value.  Pool
-        workers map one shared-memory copy of the graph, and inline
-        records report ``"inline"``.
+        Selects nothing: ``"shm"`` is the only accepted value, kept for
+        callers that still pass it.  Pool workers receive the graph
+        once at start, through the executor's initializer.
     islands:
         Islands per solve for the iterative families (annealing, ant
         colony, fusion-fission); methods without island support run
@@ -502,8 +501,8 @@ class PortfolioRunner:
                     problem.graph, min(self.jobs, len(tasks)), beats
                 )
             # Closed before the manager on every exit path — deadline
-            # cancellations and on_record aborts included — so the graph
-            # segment is unlinked exactly once.
+            # cancellations and on_record aborts included — so no worker
+            # outlives the heartbeat queue it writes to.
             stack.callback(pool.close)
             records = self._schedule(pool, beats, tasks, deadline, on_record)
         records.sort(key=lambda r: (r.spec_index, r.seed_index))
@@ -554,8 +553,6 @@ class PortfolioRunner:
 
         def finish(key, record: RunRecord) -> None:
             finished.add(key)
-            record.graph_transport = pool.transport
-            record.payload_bytes = pool.payload_bytes
             if on_record is not None:
                 on_record(record)
             records.append(record)
@@ -693,8 +690,6 @@ class PortfolioRunner:
                     )
                     state.eligible_at = 0.0
                     waiting.append(key)
-            # Replacement workers re-attach the very segment their
-            # predecessors were mapped to — no re-copy.
             pool.rebuild()
 
         while len(finished) < len(states):

@@ -14,8 +14,7 @@ also provides:
 """
 
 from repro.graph.graph import Graph
-from repro.graph.fingerprint import arrays_fingerprint, graph_fingerprint
-from repro.graph.store import GraphHandle, GraphStore
+from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.builder import GraphBuilder
 from repro.graph.connectivity import (
     bfs_order,
@@ -60,10 +59,7 @@ from repro.graph.io import (
 
 __all__ = [
     "Graph",
-    "arrays_fingerprint",
     "graph_fingerprint",
-    "GraphHandle",
-    "GraphStore",
     "GraphBuilder",
     "bfs_order",
     "connected_components",

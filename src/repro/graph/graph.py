@@ -246,19 +246,6 @@ class Graph:
         )
 
     @classmethod
-    def from_handle(cls, handle) -> "Graph":
-        """Attach a shared-memory graph as read-only views (zero-copy).
-
-        The attachment is cached per process: repeated calls with the
-        same :class:`~repro.graph.store.GraphHandle` reuse one mapping.
-        The returned graph's arrays are not writable — it is a view of
-        memory owned by the creating process.
-        """
-        from repro.graph.store import GraphStore
-
-        return GraphStore.attach(handle).graph()
-
-    @classmethod
     def empty(cls, n: int) -> "Graph":
         """An edgeless graph on ``n`` vertices."""
         return cls(

@@ -1,15 +1,16 @@
-"""One worker pool over one shared-memory graph.
+"""One worker pool over one graph.
 
-A :class:`GraphPool` publishes a graph to a
-:class:`~repro.graph.store.GraphStore` and starts a
-``ProcessPoolExecutor`` whose initializer maps that segment once per
-worker, together with an optional heartbeat queue the caller owns.
-``pool.submit(fn, *args)`` then ships only ``fn`` and its arguments and
-runs ``fn(worker, *args)`` in a worker, where ``worker`` is that
-process's :class:`PoolWorker`.  :meth:`GraphPool.rebuild` replaces a
-broken executor over the *same* segment, and :meth:`GraphPool.close`
-stops the executor before it unlinks the segment, so no worker outlives
-its graph.
+A :class:`GraphPool` starts a ``ProcessPoolExecutor`` whose initializer
+receives the graph once per worker, together with an optional heartbeat
+queue the caller owns.  ``pool.submit(fn, *args)`` then ships only
+``fn`` and its arguments and runs ``fn(worker, *args)`` in a worker,
+where ``worker`` is that process's :class:`PoolWorker`.  Under the
+``fork`` start method (the Linux default) workers inherit the parent's
+graph copy-on-write, so no graph byte crosses the process boundary;
+under ``spawn``/``forkserver`` each worker unpickles the graph once at
+start through the trusted ``Graph.__reduce__``.  :meth:`GraphPool.rebuild`
+replaces a broken executor over the same graph, and
+:meth:`GraphPool.close` stops its workers.
 
 :class:`InlinePool` offers the same ``submit``/``wait``/``close`` in the
 caller's process, one call at a time (``capacity`` 1): each
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.graph.graph import Graph
-from repro.graph.store import GraphHandle, GraphStore
 
 __all__ = ["GraphPool", "InlinePool", "PoolWorker"]
 
@@ -47,9 +47,9 @@ class PoolWorker:
 _WORKER: PoolWorker | None = None
 
 
-def _attach(handle: GraphHandle, beats: Any) -> None:
+def _attach(graph: Graph, beats: Any) -> None:
     global _WORKER
-    _WORKER = PoolWorker(Graph.from_handle(handle), beats)
+    _WORKER = PoolWorker(graph, beats)
 
 
 def _call(fn: Callable, args: tuple) -> Any:
@@ -58,29 +58,26 @@ def _call(fn: Callable, args: tuple) -> Any:
 
 
 class GraphPool:
-    """``workers`` processes sharing one shared-memory copy of ``graph``."""
+    """``workers`` processes that each hold ``graph``."""
 
-    transport = "shm"
     #: Calls worth submitting at once (the executor queues the rest).
     capacity = math.inf
 
     def __init__(self, graph: Graph, workers: int, beats: Any = None) -> None:
         self.workers = workers
+        self._graph = graph
         self._beats = beats
-        self._store = GraphStore.create(graph)
-        #: Bytes that reach each worker in place of the graph.
-        self.payload_bytes = self._store.handle.payload_bytes()
         self._executor = self._start()
 
     def _start(self) -> concurrent.futures.ProcessPoolExecutor:
         # The platform's default start method (fork on Linux) is kept on
         # purpose: workers start without re-importing numpy and the
-        # solvers, and inherit in-process instrumentation such as
-        # perfbench's tracer wrappers.
+        # solvers, inherit the graph copy-on-write, and inherit
+        # in-process instrumentation such as perfbench's tracer wrappers.
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_attach,
-            initargs=(self._store.handle, self._beats),
+            initargs=(self._graph, self._beats),
         )
 
     def submit(self, fn: Callable, *args) -> concurrent.futures.Future:
@@ -98,14 +95,13 @@ class GraphPool:
         return done
 
     def rebuild(self) -> None:
-        """Replace a broken executor; new workers map the same segment."""
+        """Replace a broken executor; new workers get the same graph."""
         self._executor.shutdown(wait=False, cancel_futures=True)
         self._executor = self._start()
 
     def close(self) -> None:
-        """Stop the workers, then unlink the segment (idempotent)."""
+        """Stop the workers (idempotent)."""
         self._executor.shutdown(wait=True, cancel_futures=True)
-        self._store.destroy()
 
 
 class InlinePool:
@@ -115,8 +111,6 @@ class InlinePool:
     ``rebuild`` and the worker carries no heartbeat queue.
     """
 
-    transport = "inline"
-    payload_bytes = 0
     capacity = 1
 
     def __init__(self, graph: Graph) -> None:

@@ -3,11 +3,13 @@
 FM asks the same question over and over: *how much edge weight does
 vertex ``v`` send into each part?*  Answering it per vertex costs an
 O(deg + k) ``bincount`` — and a Python round-trip — per query.
-:class:`GainTable` answers it from a lazily materialised ``(n, k)`` float
-table instead.  Rows for a whole vertex set (typically the boundary) are
-built in one batched gather over the concatenated CSR slices
-(:meth:`~repro.graph.Graph.neighbors_many`), bit-identical to the
-per-vertex ``bincount`` because both accumulate each row in CSR order.
+:class:`GainTable` answers it from an ``(n, k)`` float table instead.
+:meth:`GainTable.refresh` builds the rows of a whole vertex set
+(typically the boundary) in one batched gather over the concatenated
+CSR slices (:meth:`~repro.graph.Graph.neighbors_many`), bit-identical to
+the per-vertex ``bincount`` because both accumulate each row in CSR
+order.  A row is valid only once ``refresh`` has built it
+(``materialized``).
 
 FM keeps the rows current itself after every move
 (:func:`repro.refine.fm.fm_refine`): two fancy-indexed adds on integral
@@ -23,14 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.exceptions import PartitionError
 from repro.partition.partition import Partition
 
 __all__ = ["GainTable"]
 
 
 class GainTable:
-    """Lazily-materialised ``(n, k)`` table of per-part neighbour weights.
+    """``(n, k)`` table of per-part neighbour weights, built by rows.
 
     Parameters
     ----------
@@ -44,42 +45,18 @@ class GainTable:
     >>> g = grid_graph(2, 4)
     >>> p = Partition(g, [0, 0, 1, 1, 0, 0, 1, 1])
     >>> table = GainTable(p)
-    >>> bool(np.array_equal(table.row(1), p.neighbor_part_weights(1)))
+    >>> table.refresh(np.array([1]))
+    >>> bool(np.array_equal(table.w_parts[1], p.neighbor_part_weights(1)))
     True
     """
 
-    __slots__ = ("partition", "w_parts", "materialized", "_k")
+    __slots__ = ("partition", "w_parts", "materialized")
 
     def __init__(self, partition: Partition):
         self.partition = partition
-        self._k = partition.num_parts
         n = partition.graph.num_vertices
-        self.w_parts = np.zeros((n, self._k), dtype=np.float64)
+        self.w_parts = np.zeros((n, partition.num_parts), dtype=np.float64)
         self.materialized = np.zeros(n, dtype=bool)
-
-    def ensure(self, vertices: np.ndarray) -> None:
-        """Materialise the rows of ``vertices`` (batched; no-op if done)."""
-        if self.partition.num_parts != self._k:
-            raise PartitionError(
-                f"gain table built for k={self._k} but partition now has "
-                f"k={self.partition.num_parts}; build a fresh table"
-            )
-        vertices = np.asarray(vertices, dtype=np.int64)
-        todo = vertices[~self.materialized[vertices]]
-        if todo.size == 0:
-            return
-        todo = np.unique(todo)
-        rows, nbrs, wts = self.partition.graph.neighbors_many(todo)
-        parts = self.partition.assignment[nbrs]
-        np.add.at(self.w_parts, (todo[rows], parts), wts)
-        self.materialized[todo] = True
-
-    def row(self, v: int) -> np.ndarray:
-        """``(k,)`` view of ``v``'s per-part neighbour weights (don't
-        mutate)."""
-        if not self.materialized[v]:
-            self.ensure(np.asarray([v], dtype=np.int64))
-        return self.w_parts[v]
 
     def refresh(self, vertices: np.ndarray) -> None:
         """Rebuild the rows of ``vertices`` from scratch (one batched
@@ -98,7 +75,7 @@ class GainTable:
         parts = self.partition.assignment[nbrs]
         # Flattened bincount: per-cell accumulation order is identical to
         # np.add.at (input order) but runs on the fast C path.
-        k = self._k
+        k = self.w_parts.shape[1]
         block = np.bincount(
             rows * k + parts, weights=wts, minlength=vertices.shape[0] * k
         )

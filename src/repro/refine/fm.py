@@ -81,7 +81,7 @@ def _best_target(
     # pathological collapse of one part into its neighbours).
     if partition.vertex_weight[source] - vw < min_weight:
         return None
-    w_parts = table.row(v)
+    w_parts = table.w_parts[v]
     gains = w_parts - w_parts[source]
     gains[source] = -np.inf
     # Disallow overweight targets.

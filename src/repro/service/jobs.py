@@ -139,6 +139,11 @@ class JobSpec:
             raise ConfigurationError(
                 f"options must be an object, got {type(options).__name__}"
             )
+        if "objective" in options:
+            raise ConfigurationError(
+                "set the objective with the top-level 'objective' field, "
+                "not inside 'options'"
+            )
         for key, value in options.items():
             if not isinstance(value, (bool, int, float, str, type(None))):
                 raise ConfigurationError(

@@ -147,7 +147,7 @@ class SolveService:
         self.slices_executed = 0
         self.recovered_jobs = 0
         self._graphs: dict[str, Graph] = {}
-        self._instance_graphs: dict[tuple, str] = {}
+        self._instance_graphs: dict[str, str] = {}
         self._seq = 0
         self._executor: ThreadPoolExecutor | None = None
         self._workers: list[asyncio.Task] = []
@@ -184,28 +184,33 @@ class SolveService:
 
     # -- graph plumbing ----------------------------------------------------
     def _graph_for(self, job_or_spec) -> tuple[Graph, str]:
-        """Graph + fingerprint for a spec (memoised per fingerprint)."""
+        """Graph + fingerprint for a spec; jobs on one graph share it.
+
+        Default-seed instance graphs are memoised for the life of the
+        server.  Every other graph, an instance built for an explicit
+        ``graph_seed`` included, lives only while an unfinished job runs
+        on it (see :meth:`_release_graph`).
+        """
         spec = job_or_spec.spec if isinstance(job_or_spec, Job) else \
             job_or_spec
-        if spec.instance is not None:
-            memo = (spec.instance, spec.graph_seed)
-            fingerprint = self._instance_graphs.get(memo)
-            if fingerprint is not None and fingerprint in self._graphs:
-                return self._graphs[fingerprint], fingerprint
-            graph = spec.build_graph()
-            fingerprint = graph_fingerprint(graph)
-            self._instance_graphs[memo] = fingerprint
-        else:
-            graph = spec.build_graph()
-            fingerprint = graph_fingerprint(graph)
-        self._graphs[fingerprint] = graph
+        memoised = spec.instance is not None and spec.graph_seed is None
+        if memoised and spec.instance in self._instance_graphs:
+            fingerprint = self._instance_graphs[spec.instance]
+            return self._graphs[fingerprint], fingerprint
+        graph = spec.build_graph()
+        fingerprint = graph_fingerprint(graph)
+        graph = self._graphs.setdefault(fingerprint, graph)
+        if memoised:
+            self._instance_graphs[spec.instance] = fingerprint
         return graph, fingerprint
 
     def _release_graph(self, fingerprint: str | None) -> None:
-        """Drop an inline graph once no unfinished job runs on it.
+        """Drop a graph once no unfinished job runs on it.
 
-        Instance graphs stay memoised: clients resubmit registered
-        instances, and rebuilding one costs tens of milliseconds.
+        Default-seed instance graphs stay memoised: clients resubmit
+        registered instances, and rebuilding one costs tens of
+        milliseconds.  Explicit ``graph_seed`` values are unbounded, so
+        their graphs are not.
         """
         if fingerprint in self._instance_graphs.values():
             return

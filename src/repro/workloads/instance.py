@@ -45,7 +45,7 @@ _TIERS = (TIER_SMALL, TIER_LARGE)
 
 # ``graph_fingerprint`` was born here; it now lives in
 # :mod:`repro.graph.fingerprint` (one implementation shared with
-# ``GraphStore`` and the service result cache) and is re-exported for
+# checkpoints and the service result cache) and is re-exported for
 # every caller that imports it from the workloads package.
 
 

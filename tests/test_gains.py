@@ -52,26 +52,19 @@ class TestNeighborsMany:
 
 class TestGainTable:
     def test_rows_match_neighbor_part_weights(self, partitioned_grid):
+        # Batches of <= 2 vertices take the per-row loop, larger ones the
+        # batched gather.
         p = partitioned_grid
-        table = GainTable(p)
-        table.ensure(np.arange(p.graph.num_vertices))
-        for v in range(p.graph.num_vertices):
-            assert np.array_equal(table.row(v), p.neighbor_part_weights(v))
-
-    def test_lazy_materialization(self, partitioned_grid):
-        p = partitioned_grid
-        table = GainTable(p)
-        assert not table.materialized.any()
-        row = table.row(5)
-        assert table.materialized[5]
-        assert np.array_equal(row, p.neighbor_part_weights(5))
-
-    def test_stale_k_is_rejected(self, partitioned_grid):
-        p = partitioned_grid
-        table = GainTable(p)
-        p.merge_parts(0, 1)
-        with pytest.raises(PartitionError, match="fresh table"):
-            table.ensure(np.array([0]))
+        vertices = np.arange(p.graph.num_vertices)
+        for batch in (1, 2, vertices.size):
+            table = GainTable(p)
+            for start in range(0, vertices.size, batch):
+                table.refresh(vertices[start:start + batch])
+            assert table.materialized.all()
+            for v in vertices:
+                assert np.array_equal(
+                    table.w_parts[v], p.neighbor_part_weights(int(v))
+                )
 
 
 class TestSplitPartValidation:

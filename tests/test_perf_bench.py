@@ -19,8 +19,6 @@ EXPECTED_BENCHMARKS = {
     "coarsen_level",
     "ff_step",
     "ff_initialize",
-    "graph_ship",
-    "graph_attach",
     "islands_1",
     "islands_2",
     "islands_4",

@@ -269,6 +269,36 @@ class TestServiceEndToEnd:
         assert service.get_job(second["id"]).state == "done"
         assert service._graphs == {}
 
+    def test_seeded_instance_graphs_are_not_memoised(self, tmp_path):
+        service = SolveService(iter_sliced_config(tmp_path))
+        default = service.submit({"instance": "grid-16", "k": 4,
+                                  "method": "percolation"})
+        for graph_seed in range(1, 6):
+            service.submit({"instance": "geometric-150",
+                            "method": "percolation",
+                            "graph_seed": graph_seed})
+        drain(service)
+        assert all(job.terminal for job in service.jobs.values())
+        assert list(service._graphs) == [default["fingerprint"]]
+
+    def test_seeded_instance_graph_lives_until_its_last_job_ends(
+        self, tmp_path
+    ):
+        service = SolveService(iter_sliced_config(tmp_path))
+        payload = {"instance": "geometric-150", "method": "percolation",
+                   "graph_seed": 3}
+        first = service.submit(dict(payload, seed=1))
+        graph = service._graphs[first["fingerprint"]]
+        second = service.submit(dict(payload, seed=2))
+        assert second["fingerprint"] == first["fingerprint"]
+        assert list(service._graphs) == [first["fingerprint"]]
+        assert service._graphs[first["fingerprint"]] is graph
+        service.cancel(first["id"])
+        assert list(service._graphs) == [first["fingerprint"]]
+        drain(service)
+        assert service.get_job(second["id"]).state == "done"
+        assert service._graphs == {}
+
     def test_refused_submits_keep_no_inline_graph(self, tmp_path):
         service = SolveService(iter_sliced_config(tmp_path))
         for n in range(10, 15):
@@ -294,6 +324,7 @@ class TestServiceEndToEnd:
             {"instance": "grid-16", "k": 4, "method": "multilevel",
              "islands": 2, "tenant": "t", "weight": 3.0},
             {"instance": "grid-16", "k": 4, "objective": "bogus"},
+            {"instance": "grid-16", "k": 4, "options": {"objective": "cut"}},
         ]
         for payload in refused:
             with pytest.raises(ConfigurationError):
@@ -477,12 +508,11 @@ class TestServiceRecovery:
 # Satellites: shared fingerprint, atomic writes
 # ---------------------------------------------------------------------------
 class TestFingerprintPromotion:
-    def test_store_hash_is_graph_fingerprint(self):
-        from repro.graph.store import GraphStore
-
-        graph = grid_graph(4, 4)
-        with GraphStore.create(graph) as store:
-            assert store.handle.content_hash == graph_fingerprint(graph)
+    def test_fingerprint_value_is_stable(self):
+        # Result-cache keys on disk embed this value: it must not drift.
+        assert graph_fingerprint(grid_graph(4, 4)) == (
+            "69779d4be9a021357c03d6541de59e14"
+        )
 
     def test_workloads_reexport_is_the_same_function(self):
         import repro.workloads as workloads
