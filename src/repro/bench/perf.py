@@ -9,10 +9,10 @@ fast-but-wrong kernel fails the harness instead of flattering it.
 
 Benchmarks
 ----------
-* ``fm_pass``         — one full FM pass (gain table + heap loop) vs the
-  per-vertex reference.  Sequence-pinned: the optimized pass must replay
-  the reference's exact move sequence (see ``docs/performance.md``), so
-  its speedup is bounded by the Python heap loop both share.
+* ``fm_pass``         — a pass under the 200-move stall rule, which the
+  reference applies too, vs the per-vertex reference.  The optimized pass
+  must replay the reference's exact move sequence, so its speedup is
+  bounded by the Python heap loop both share.
 * ``fm_gain_engine``  — the batched boundary-candidate kernel alone
   (table build + masked argmax for every boundary vertex) vs the
   per-vertex scan.  This is the raw gain-engine speedup.
@@ -104,7 +104,7 @@ def _noisy_strips(n: int, k: int, seed: int) -> np.ndarray:
 
 def _bench_fm_pass(graph: Graph, assignment, k, reps) -> PerfRecord:
     from repro.partition.partition import Partition
-    from repro.refine.fm import fm_refine
+    from repro.refine.fm import STALL_MOVES, fm_refine
     from repro.refine.reference import fm_refine_reference
 
     p_opt = Partition(graph, assignment.copy())
@@ -130,7 +130,8 @@ def _bench_fm_pass(graph: Graph, assignment, k, reps) -> PerfRecord:
         unit="vertices/s",
         reference_seconds=ref, speedup=ref / sec,
         matches_reference=matches,
-        notes="sequence-pinned full pass; bounded by the shared heap loop",
+        notes=(f"a pass under the {STALL_MOVES}-move stall rule, "
+               "which the reference applies too"),
     )
 
 

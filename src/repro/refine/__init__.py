@@ -8,7 +8,8 @@ Fiduccia–Mattheyses variant:
 * :func:`kernighan_lin_pass` / :func:`kl_refine` — pairwise swap refinement
   between two parts, extended to k-way by sweeping adjacent part pairs,
 * :func:`fm_refine` — k-way single-move Fiduccia–Mattheyses passes with
-  gain ordering, per-pass vertex locking and rollback to the best prefix,
+  gain ordering, per-pass vertex locking, a stop 200 moves after the
+  last new best (as in METIS) and rollback to the best prefix,
 * :func:`greedy_balance` — weight-balance repair used after operations
   that can skew part sizes.
 """

@@ -13,8 +13,9 @@ the same asymptotics for float weights).  One *pass*:
    :meth:`~repro.partition.Partition.move` so the move skips its own
    aggregation), lock the vertex, and update its neighbours' rows and
    candidates — one fused batched block per move;
-3. when no admissible candidate remains, roll back to the best prefix
-   (possibly empty) of the move sequence.
+3. stop when no admissible candidate remains or after :data:`STALL_MOVES`
+   moves without a new best cut (as METIS does), then roll back to the
+   best prefix (possibly empty) of the move sequence.
 
 The move sequence (heap contents, stamps, rollback prefix) is identical to
 the per-vertex reference implementation
@@ -50,12 +51,15 @@ import heapq
 
 import numpy as np
 
-from repro.graph.graph import float_values_are_integral
 from repro.partition.gains import GainTable
 from repro.partition.moves import boundary_vertices
 from repro.partition.partition import Partition
 
-__all__ = ["fm_refine"]
+__all__ = ["fm_refine", "STALL_MOVES"]
+
+#: A pass stops after this many moves without a new best cut.  Read at
+#: call time here and by :func:`repro.refine.reference.fm_refine_reference`.
+STALL_MOVES = 200
 
 #: Above this part count the Python row scan loses to NumPy's argmax.
 _SCALAR_SCAN_MAX_K = 96
@@ -145,12 +149,16 @@ def fm_refine(
 ) -> float:
     """Run FM passes until no pass improves or ``max_passes`` is reached.
 
+    A pass ends when no admissible move remains or after
+    :data:`STALL_MOVES` moves without a new best cut, then keeps its best
+    prefix (not bit-identical to full passes; see ``docs/performance.md``).
+
     Parameters
     ----------
     partition:
         Refined **in place**; ``k`` is preserved.
     max_passes:
-        Maximum number of full passes.
+        Maximum number of passes.
     balance_tolerance:
         Per-part vertex-weight ceiling ``(1 + tol) * ideal``; moves that
         would exceed it are inadmissible.  The ceiling never drops below
@@ -183,14 +191,7 @@ def fm_refine(
     vw0 = float(vweights[0]) if uniform_vw else 0.0
     scalar_scan = uniform_vw and k <= _SCALAR_SCAN_MAX_K
     integral = graph.has_integral_weights()
-    # Rolling a long move suffix back one vertex at a time is O(moves ×
-    # deg); when bookkeeping arithmetic is exact (integral weights) a bulk
-    # assignment write + one O(n + m) recomputation lands on identical
-    # floats.  Only worth it past the recompute's fixed cost.
-    bulk_rollback = integral and float_values_are_integral(vweights)
-    rollback_threshold = max(256, (n + 2 * graph.num_edges) // 64)
     heappush, heappop = heapq.heappush, heapq.heappop
-    assignment = partition.assignment
     part_weight = partition.vertex_weight
     part_size = partition.size
     part_cut = partition.cut
@@ -198,7 +199,7 @@ def fm_refine(
     for _ in range(max_passes):
         locked_np = np.zeros(n, dtype=bool)
         locked = bytearray(n)  # Python mirror: O(40ns) pop-loop reads
-        assign_list = assignment.tolist()
+        assign_list = partition.assignment.tolist()
         heap: list[tuple[float, int, int, int, int]] = []
         stamp = 0
         epoch = 0
@@ -297,6 +298,8 @@ def fm_refine(
             if current_cut < best_cut - 1e-12:
                 best_cut = current_cut
                 best_prefix = len(moves)
+            if len(moves) - best_prefix >= STALL_MOVES:
+                break
             nbrs, wts_v = graph.neighbors(v)
             nbrs_list = nbrs.tolist()
             for x in nbrs_list:
@@ -371,18 +374,8 @@ def fm_refine(
 
         # Roll back moves after the best prefix (the table is stale after
         # this, but each pass builds a fresh one).
-        undo = moves[best_prefix:]
-        if bulk_rollback and len(undo) >= rollback_threshold:
-            for v, source, _target in undo:
-                assignment[v] = source
-            partition._recompute()
-            # _recompute rebinds the bookkeeping arrays; refresh aliases.
-            part_weight = partition.vertex_weight
-            part_size = partition.size
-            part_cut = partition.cut
-        else:
-            for v, source, _target in reversed(undo):
-                partition.move(v, source, allow_empty_source=False)
+        for v, source, _target in reversed(moves[best_prefix:]):
+            partition.move(v, source, allow_empty_source=False)
         pass_improvement = cut_before - partition.edge_cut()
         total_improvement += pass_improvement
         if pass_improvement <= 1e-12:

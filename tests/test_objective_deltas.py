@@ -8,7 +8,8 @@ implementation it replaced.  This module pins
   (property-based);
 * the gain-table FM pass against the frozen per-vertex reference on
   seeded graphs (same assignment, same improvement), unit and float
-  weights, uniform and coarsened vertex weights;
+  weights, uniform and coarsened vertex weights, at the default stall
+  limit and at one low enough to cut every pass short;
 * the batched ``Partition.weight_between`` against its per-vertex loop.
 """
 
@@ -21,10 +22,24 @@ from repro.graph import Graph, grid_graph, random_geometric_graph
 from repro.graph.coarsen import contract_graph
 from repro.partition import Partition, get_objective
 from repro.partition.reference import weight_between_reference
+from repro.refine import fm
 from repro.refine.fm import fm_refine
 from repro.refine.reference import fm_refine_reference
 
 OBJECTIVES = ["cut", "ncut", "mcut"]
+
+#: (graph, k) per weight regime: unit, float edge weights, the ATC
+#: instance, non-uniform (coarsened) vertex weights.
+STALL_CASES = {
+    "grid-unit": lambda: (grid_graph(16, 16), 8),
+    "geometric-float": lambda: (
+        random_geometric_graph(220, 0.12, seed=0)[0], 5
+    ),
+    "atc": lambda: (core_area_graph(seed=2006), 8),
+    "coarsened": lambda: (
+        contract_graph(grid_graph(20, 20), np.arange(400) // 2)[0], 4
+    ),
+}
 
 
 @st.composite
@@ -150,6 +165,21 @@ class TestFMEquivalence:
         assignment[:4] = np.arange(4)
         self._assert_equivalent(coarse, assignment)
 
+    @pytest.mark.parametrize("case", sorted(STALL_CASES))
+    def test_stall_rule_fires_in_both(self, case, monkeypatch):
+        """With the shared stall limit lowered to 5 moves, both
+        implementations stop each pass at the same move."""
+        graph, k = STALL_CASES[case]()
+        rng = np.random.default_rng(0)
+        assignment = rng.integers(0, k, graph.num_vertices)
+        assignment[:k] = np.arange(k)
+        default = Partition(graph, assignment.copy())
+        fm_refine(default, max_passes=4)
+        monkeypatch.setattr(fm, "STALL_MOVES", 5)
+        cut_short = self._assert_equivalent(graph, assignment)
+        # The rule fired: it changed the result of the default limit.
+        assert not np.array_equal(cut_short.assignment, default.assignment)
+
     @staticmethod
     def _assert_equivalent(graph, assignment):
         p_new = Partition(graph, assignment.copy())
@@ -159,6 +189,7 @@ class TestFMEquivalence:
         assert np.array_equal(p_new.assignment, p_old.assignment)
         assert gain_new == pytest.approx(gain_old, abs=1e-9)
         p_new.check()
+        return p_new
 
 
 class TestWeightBetweenEquivalence:

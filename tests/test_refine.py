@@ -5,8 +5,12 @@ import pytest
 
 from repro.common.exceptions import PartitionError
 from repro.graph import barbell_graph, grid_graph, weighted_caveman_graph
-from repro.partition import Partition, imbalance
+from repro.multilevel import MultilevelPartitioner
+from repro.multilevel import partitioner as multilevel_partitioner
+from repro.partition import Partition, get_objective, imbalance
+from repro.refine import fm
 from repro.refine import fm_refine, greedy_balance, kernighan_lin_pass, kl_refine
+from repro.workloads import build_instance
 
 
 def scrambled_barbell(seed=0):
@@ -107,6 +111,48 @@ class TestFiducciaMattheyses:
             before = p.edge_cut()
             fm_refine(p, max_passes=1)
             assert p.edge_cut() <= before + 1e-9
+
+
+class TestFMStallRule:
+    def test_changes_a_multilevel_result(self, monkeypatch):
+        """Multilevel k=32 seed 2 on ``powerlaw-2000``: one pass there
+        finds a new best 253 moves after the previous one, so the
+        200-move stall rule changes the result.  Full passes (the limit
+        raised to n) reproduce the result from before the rule."""
+        graph = build_instance("powerlaw-2000")
+        k = 32
+
+        def checked_fm_refine(partition, max_passes, balance_tolerance):
+            ideal = float(partition.vertex_weight.sum()) / k
+            ceiling = max(
+                (1.0 + balance_tolerance) * ideal,
+                float(partition.vertex_weight.max()),
+            )
+            gain = fm_refine(
+                partition, max_passes=max_passes,
+                balance_tolerance=balance_tolerance,
+            )
+            assert partition.num_parts == k
+            assert partition.vertex_weight.max() <= ceiling + 1e-9
+            return gain
+
+        monkeypatch.setattr(
+            multilevel_partitioner, "fm_refine", checked_fm_refine
+        )
+        mcut = get_objective("mcut")
+        default = fm.STALL_MOVES
+        results = {}
+        for limit in (graph.num_vertices, default):
+            monkeypatch.setattr(fm, "STALL_MOVES", limit)
+            p = MultilevelPartitioner(k=k).partition(graph, seed=2)
+            p.check()
+            assert p.num_parts == k
+            results[limit] = (p.assignment.copy(), mcut.value(p))
+        full_assignment, full_mcut = results[graph.num_vertices]
+        stall_assignment, stall_mcut = results[default]
+        assert full_mcut == pytest.approx(121.7684, abs=1e-4)
+        assert stall_mcut == pytest.approx(122.2947, abs=1e-4)
+        assert not np.array_equal(full_assignment, stall_assignment)
 
 
 class TestGreedyBalance:
