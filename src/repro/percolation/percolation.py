@@ -58,7 +58,9 @@ def percolation_bonds(
     mask:
         Optional boolean ``(n,)`` restriction; vertices outside the mask
         neither receive nor transmit liquid (used when cutting a single
-        atom during fission).
+        atom during fission).  A masked flood sweeps only the arcs
+        between masked vertices; the result is the same bits as a sweep
+        over the whole graph.
     max_sweeps:
         Bellman–Ford sweep cap (the half-per-hop discount converges
         geometrically; ~40 sweeps reach 1e-12).
@@ -93,9 +95,34 @@ def percolation_bonds(
     allowed = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, bool)
     if not allowed[centers].all():
         raise ConfigurationError("percolation centres must satisfy the mask")
+    # Whole-graph floods keep the all-arcs loop: speeding them up slowed
+    # the service's other slices ("Percolation floods", docs/performance.md).
+    if mask is None:
+        return _flood_all_arcs(graph, centers, allowed, max_sweeps, tolerance)
+    return _flood_atom(graph, centers, allowed, max_sweeps, tolerance)
 
+
+def _anchor(graph: Graph) -> float:
+    """The centre's own bond: ``2 * w_max``, the recurrence's saturation."""
     w_max = float(graph.weights.max()) if graph.weights.size else 1.0
-    anchor = 2.0 * max(w_max, 1e-12)
+    return 2.0 * max(w_max, 1e-12)
+
+
+def _flood_all_arcs(
+    graph: Graph,
+    centers: np.ndarray,
+    allowed: np.ndarray,
+    max_sweeps: int,
+    tolerance: float,
+) -> np.ndarray:
+    """Bellman–Ford sweeps over every arc of the graph, masked arcs skipped.
+
+    The kernel of whole-graph floods, and the reference the masked floods
+    of :func:`_flood_atom` are tested against bit for bit.
+    """
+    n = graph.num_vertices
+    k = centers.shape[0]
+    anchor = _anchor(graph)
     # -inf marks "liquid not yet arrived"; it propagates harmlessly through
     # the (b + w)/2 update, so bonds only ever flow outward from centres.
     bonds = np.full((n, k), -np.inf)
@@ -124,6 +151,63 @@ def percolation_bonds(
     bonds = np.where(np.isfinite(bonds), bonds, 0.0)
     bonds[~allowed] = 0.0
     return bonds
+
+
+def _flood_atom(
+    graph: Graph,
+    centers: np.ndarray,
+    allowed: np.ndarray,
+    max_sweeps: int,
+    tolerance: float,
+) -> np.ndarray:
+    """:func:`_flood_all_arcs` swept over the mask's own arcs only.
+
+    A fission flood stays inside one atom, so the arcs between masked
+    vertices are gathered once, in local ids and grouped by receiving
+    vertex, and each sweep maximises every group with one
+    ``np.maximum.reduceat``.  Every sweep gives the reference's bits:
+    each arc's ``(b + w) * 0.5`` is computed as before, ``max`` does not
+    depend on the order of its inputs, and bonds never decrease, so
+    ``new - old > tolerance`` somewhere is exactly the reference's "an
+    entry became finite or moved by more than the tolerance" (where both
+    are ``-inf`` the difference is NaN, which compares False).
+    """
+    n = graph.num_vertices
+    k = centers.shape[0]
+    members = np.flatnonzero(allowed)
+    m = members.shape[0]
+    rows, nbrs, wts = graph.neighbors_many(members)
+    inside = allowed[nbrs]
+    src = rows[inside]
+    dst = np.searchsorted(members, nbrs[inside])
+    wt = wts[inside]
+    # reduceat hands an empty group its successor's first candidate, so a
+    # member with no neighbour in the mask gets one arc from itself of
+    # weight -inf, whose candidate never raises a bond.
+    lonely = np.flatnonzero(np.bincount(dst, minlength=m) == 0)
+    src = np.concatenate([src, lonely])
+    dst = np.concatenate([dst, lonely])
+    wt = np.concatenate([wt, np.full(lonely.shape[0], -np.inf)])
+    order = np.argsort(dst, kind="stable")
+    src, wt = src[order], wt[order, None]
+    starts = np.searchsorted(dst[order], np.arange(m))
+    bonds = np.full((m, k), -np.inf)
+    # Centres keep their anchor without the reference's reset: bonds
+    # never fall, and no candidate exceeds 3/4 of the anchor.
+    bonds[np.searchsorted(members, centers), np.arange(k)] = _anchor(graph)
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_sweeps):
+            candidate = (bonds[src] + wt) * 0.5
+            new_bonds = np.maximum(
+                bonds, np.maximum.reduceat(candidate, starts, axis=0)
+            )
+            moved = bool(((new_bonds - bonds) > tolerance).any())
+            bonds = new_bonds
+            if not moved:
+                break
+    out = np.zeros((n, k))
+    out[members] = np.where(np.isfinite(bonds), bonds, 0.0)
+    return out
 
 
 def _color_from_bonds(

@@ -145,3 +145,107 @@ class TestSpreadCenters:
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigurationError):
             choose_spread_centers(path_graph(5), 9)
+
+
+def _reference_bonds(graph, centers, mask, max_sweeps=100, tolerance=1e-12):
+    """The whole-graph sweep loop run with ``mask``: what a masked flood
+    must reproduce bit for bit."""
+    from repro.percolation.percolation import _flood_all_arcs
+
+    allowed = (np.ones(graph.num_vertices, dtype=bool) if mask is None
+               else np.asarray(mask, dtype=bool))
+    return _flood_all_arcs(graph, np.asarray(centers, dtype=np.int64),
+                           allowed, max_sweeps, tolerance)
+
+
+def _random_centres(rng, mask, k):
+    return rng.choice(np.flatnonzero(mask), k, replace=False)
+
+
+class TestAtomKernel:
+    """Masked floods sweep only the mask's own arcs; every returned bit
+    equals the whole-graph loop run with the same mask."""
+
+    def _assert_identical(self, graph, centers, mask):
+        got = percolation_bonds(graph, centers, mask=mask)
+        assert np.array_equal(got, _reference_bonds(graph, centers, mask))
+        return got
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_vertex_without_neighbour_in_mask(self, k):
+        # Path 0-1-2-3-4-5-6: 0 and 2 have no neighbour inside the mask,
+        # and 2 sits between two members that do.
+        g = path_graph(7)
+        mask = np.array([True, False, True, False, True, True, True])
+        centers = np.array([4, 6, 0][:k])
+        bonds = self._assert_identical(g, centers, mask)
+        assert (bonds[~mask] == 0.0).all()
+        assert (bonds[2] == 0.0).all()  # reached by no liquid
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_mask_in_two_components(self, k):
+        g = weighted_caveman_graph(4, 6)
+        mask = np.zeros(g.num_vertices, dtype=bool)
+        mask[0:6] = mask[12:18] = True  # caves 0 and 2, not adjacent
+        centers = np.array([0, 13, 2, 15, 4][:k])
+        self._assert_identical(g, centers, mask)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_float_weighted_instance(self, k):
+        from repro.workloads import build_instance
+
+        g = build_instance("geometric-150")
+        assert not g.has_integral_weights()
+        rng = np.random.default_rng(k)
+        for fraction in (0.1, 0.3, 0.7):
+            mask = rng.random(g.num_vertices) < fraction
+            mask[:k] = True
+            self._assert_identical(g, _random_centres(rng, mask, k), mask)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_all_true_mask_is_the_whole_graph_flood(self, k):
+        from repro.workloads import build_instance
+
+        g = build_instance("geometric-150")
+        mask = np.ones(g.num_vertices, dtype=bool)
+        centers = _random_centres(np.random.default_rng(7), mask, k)
+        bonds = self._assert_identical(g, centers, mask)
+        assert np.array_equal(bonds, percolation_bonds(g, centers))
+
+    def test_sweep_cap_and_tolerance_are_honoured(self):
+        g = grid_graph(6, 6)
+        mask = np.ones(36, dtype=bool)
+        mask[[7, 8, 20]] = False
+        centers = np.array([0, 35])
+        for max_sweeps, tolerance in ((0, 1e-12), (3, 1e-12), (100, 1e-3)):
+            got = percolation_bonds(g, centers, mask=mask,
+                                    max_sweeps=max_sweeps,
+                                    tolerance=tolerance)
+            want = _reference_bonds(g, centers, mask, max_sweeps, tolerance)
+            assert np.array_equal(got, want)
+
+    def test_every_flood_of_an_ff_solve(self, monkeypatch):
+        """Hook the module-level name fission calls through, so every
+        flood of a bounded fusion–fission solve on ``atc-core`` is
+        compared with the reference."""
+        import repro.percolation.percolation as perc
+        from repro.api import solve
+        from repro.workloads import build_instance
+
+        graph = build_instance("atc-core")
+        original = perc.percolation_bonds
+        masked = []
+
+        def checked(graph, centers, mask=None, max_sweeps=100,
+                    tolerance=1e-12):
+            got = original(graph, centers, mask, max_sweeps, tolerance)
+            want = _reference_bonds(graph, centers, mask, max_sweeps,
+                                    tolerance)
+            assert np.array_equal(got, want)
+            masked.append(mask is not None)
+            return got
+
+        monkeypatch.setattr(perc, "percolation_bonds", checked)
+        report = solve(graph, 32, "fusion-fission", seed=0, max_steps=150)
+        assert report.partition.num_parts == 32
+        assert len(masked) > 100 and all(masked)

@@ -8,7 +8,8 @@ These pin the invariants every algorithm relies on:
 * conservation: internal + edge_cut == total weight, always;
 * objective deltas equal recomputed differences for arbitrary moves;
 * law tables remain distributions under arbitrary update sequences;
-* the percolation fixed point holds on arbitrary connected graphs.
+* the percolation fixed point holds on arbitrary connected graphs, and
+  a masked flood returns the whole-graph loop's bits.
 """
 
 import numpy as np
@@ -239,3 +240,28 @@ class TestPercolationProperties:
                     (bonds[int(u), c] + w) / 2.0 for u, w in zip(nbrs, wts)
                 )
                 assert bonds[v, c] == pytest.approx(expected, abs=1e-9)
+
+    @given(
+        edge_lists(max_vertices=12),
+        st.randoms(use_true_random=False),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_masked_flood_equals_whole_graph_loop(self, data, pyrandom, k):
+        """A masked flood sweeps only the mask's arcs, yet returns the
+        bits of the whole-graph loop run with the same mask."""
+        from repro.percolation import percolation_bonds
+        from repro.percolation.percolation import _flood_all_arcs
+
+        n, edges = data
+        k = min(k, n)
+        g = Graph.from_edges(n, edges)
+        mask = np.array([pyrandom.random() < 0.6 for _ in range(n)])
+        members = np.flatnonzero(mask)
+        if members.size < k:
+            mask[:k] = True
+            members = np.flatnonzero(mask)
+        centers = np.array(pyrandom.sample(members.tolist(), k))
+        got = percolation_bonds(g, centers, mask=mask)
+        want = _flood_all_arcs(g, centers, mask, 100, 1e-12)
+        assert np.array_equal(got, want)
