@@ -36,7 +36,7 @@ def main() -> None:
         graph, k=args.k, objective="mcut", name="european-core-area"
     )
     specs = [
-        SolverSpec.for_method(name, objective="mcut", time_budget=args.budget)
+        SolverSpec.for_method(name, time_budget=args.budget)
         for name in args.methods.split(",")
         if name.strip()
     ]

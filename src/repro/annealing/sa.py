@@ -24,64 +24,47 @@ The loop lives in :class:`AnnealRun`, a resumable stepper: one
 :meth:`AnnealRun.step` is one iteration of the annealing loop, and its
 state serialises/restores for the :mod:`repro.api` checkpoint
 machinery.  A session drives it through :meth:`AnnealRun.advance`;
-tests may step it directly.
+tests may step a session's stepper directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError
-from repro.common.rng import SeedLike, ensure_rng
 from repro.graph.graph import Graph
-from repro.partition.objectives import Objective, get_objective
+from repro.partition.objectives import get_objective
 from repro.partition.partition import Partition
 from repro.api.session import SolveSession, Solver
 
 __all__ = ["SimulatedAnnealingPartitioner", "AnnealRun"]
 
 
+#: Freezing point as a fraction of ``tmax`` when ``tmin = 0``.
+FREEZE_EPSILON = 1e-3
+
+
 class AnnealRun:
     """Resumable annealing loop state (one :meth:`step` = one iteration).
 
-    Anneals ``partition`` in place; :attr:`best` / :attr:`best_energy`
-    hold the best solution seen (a copy).  The stepper exists so run
-    sessions can suspend between iterations, checkpoint the full state
+    The stepper of :class:`SimulatedAnnealingPartitioner`: it reads the
+    temperature parameters from ``session.solver`` and the objective from
+    ``session.request``.  A fresh run starts from the percolation
+    partition on ``session.rng``; ``state`` (a checkpoint's ``state``
+    block) restores one instead.  It anneals :attr:`partition` in place;
+    :attr:`best` / :attr:`best_energy` hold the best solution seen (a
+    copy).  The stepper exists so run sessions can suspend between
+    iterations, checkpoint the full state
     (:meth:`export_state`/:meth:`restore_state`) and resume without
     perturbing the random stream.
 
-    Parameters
-    ----------
-    partition:
-        Starting solution (modified during the search).
-    objective:
-        Energy function (name or instance); lower is better.
-    tmax, tmin:
-        Temperature range.  The paper's single-parameter usage sets
-        ``tmin = 0``; the geometric ratio is then ``cooling_ratio``.
-    cooling_ratio:
-        Ceiling on the geometric decay ``(tmax - tmin)/tmax`` (see
-        :class:`~repro.annealing.schedule.GeometricCooling`).
-    equilibrium_refusals:
-        Refused moves at one temperature before cooling.
-    freeze_epsilon:
-        Freezing point as a fraction of ``tmax`` when ``tmin = 0``.
-    max_steps:
-        Optional step cap.
-    reheat:
-        When frozen, restart from the best solution at ``tmax`` instead
-        of stopping (set while a session wall-clock budget is running).
-    on_improvement:
-        Callback ``(energy, partition)`` fired whenever a new best is
-        found (sessions turn it into ``incumbent`` events).
-
-    Energies are tracked incrementally through
-    :meth:`Objective.delta_move`; a full re-evaluation never happens
-    inside the loop (no per-step O(n) work).
+    While the session has a wall-clock budget the run reheats from its
+    best when frozen instead of stopping.  Energies are tracked
+    incrementally through :meth:`Objective.delta_move`; a full
+    re-evaluation never happens inside the loop (no per-step O(n) work).
     """
 
     #: Annealing moves per session iteration, so events, budget checks
@@ -90,45 +73,44 @@ class AnnealRun:
     chunk = 256
 
     def __init__(
-        self,
-        partition: Partition,
-        objective: Objective | str = "mcut",
-        tmax: float = 1.0,
-        tmin: float = 0.0,
-        cooling_ratio: float = 0.95,
-        equilibrium_refusals: int = 50,
-        freeze_epsilon: float = 1e-3,
-        max_steps: int | None = None,
-        reheat: bool = False,
-        seed: SeedLike = None,
-        on_improvement: Callable[[float, Partition], None] | None = None,
+        self, session: SolveSession, state: dict | None = None
     ) -> None:
-        self.obj = get_objective(objective)
-        self.rng = ensure_rng(seed)
+        solver, request = session.solver, session.request
+        tmax, tmin = solver.tmax, solver.tmin
         if tmax <= 0:
             raise ConfigurationError(f"tmax must be > 0, got {tmax}")
         if tmin < 0 or tmin >= tmax:
             raise ConfigurationError(
                 f"need 0 <= tmin < tmax, got tmin={tmin}, tmax={tmax}"
             )
-        ratio = (tmax - tmin) / tmax
-        self.ratio = min(ratio, cooling_ratio)
-        self.freeze = max(tmin, freeze_epsilon * tmax)
+        self.obj = get_objective(request.objective)
+        self.rng = session.rng
+        self.ratio = min((tmax - tmin) / tmax, solver.cooling_ratio)
+        self.freeze = max(tmin, FREEZE_EPSILON * tmax)
         self.midpoint = 0.5 * (tmax + tmin)
         self.tmax = tmax
-        self.max_steps = max_steps
-        self.reheat = reheat
-        self.equilibrium_refusals = equilibrium_refusals
-        self.on_improvement = on_improvement
+        self.max_steps = solver.max_steps
+        self.reheat = session.open_ended
+        self.equilibrium_refusals = solver.equilibrium_refusals
+        self.on_improvement = session._incumbent_improved
+        if state is not None:
+            self.restore_state(request.graph, state)
+            return
 
-        self.partition = partition
-        self.energy = self.obj.value(partition)
-        self.best = partition.copy()
+        from repro.percolation.percolation import PercolationPartitioner
+
+        session._set_phase("percolation-init")
+        self.partition = PercolationPartitioner(k=request.k).partition(
+            request.graph, seed=self.rng
+        )
+        self.energy = self.obj.value(self.partition)
+        self.best = self.partition.copy()
         self.best_energy = self.energy
         self.t = tmax
         self.refusals = 0
         self.steps = 0
         self.finished = False
+        session._set_phase("anneal")
 
     def step(self) -> bool:
         """One iteration of the annealing loop; False once stopped.
@@ -201,8 +183,7 @@ class AnnealRun:
                 if self.energy < self.best_energy - 1e-12:
                     self.best = partition.copy()
                     self.best_energy = self.energy
-                    if self.on_improvement is not None:
-                        self.on_improvement(self.best_energy, self.best)
+                    self.on_improvement(self.best_energy, self.best)
         else:
             self.refusals += 1
             if self.refusals >= self.equilibrium_refusals:
@@ -287,14 +268,20 @@ class SimulatedAnnealingPartitioner(Solver):
     k:
         Number of parts (any natural number — metaheuristics are not
         limited to powers of two).
-    objective:
-        Energy criterion; the ATC study uses ``"mcut"``.
-    tmax:
-        The single tuning parameter the paper highlights.
+    tmax, tmin:
+        Temperature range; ``tmax`` is the single tuning parameter the
+        paper highlights.  With the paper's ``tmin = 0`` the geometric
+        ratio is ``cooling_ratio``.
+    cooling_ratio:
+        Ceiling on the geometric decay ``(tmax - tmin)/tmax`` (see
+        :class:`~repro.annealing.schedule.GeometricCooling`).
+    equilibrium_refusals:
+        Refused moves at one temperature before cooling.
+    max_steps:
+        Optional step cap.
     """
 
     k: int
-    objective: str = "mcut"
     tmax: float = 1.0
     tmin: float = 0.0
     cooling_ratio: float = 0.95
@@ -304,39 +291,4 @@ class SimulatedAnnealingPartitioner(Solver):
     name = "simulated-annealing"
     #: Iterative family: sessions may run island-model (`islands > 1`).
     supports_islands = True
-
-    def stepper(
-        self, session: SolveSession, state: dict | None = None
-    ) -> AnnealRun:
-        """A fresh :class:`AnnealRun` from the percolation partition on
-        ``session.rng``, or one restored from a checkpoint ``state``."""
-        graph = session.request.graph
-        if state is None:
-            from repro.percolation.percolation import PercolationPartitioner
-
-            session._set_phase("percolation-init")
-            start = PercolationPartitioner(k=session.request.k).partition(
-                graph, seed=session.rng
-            )
-        else:
-            # Placeholder partition: restore_state overwrites every field.
-            start = Partition(
-                graph, np.asarray(state["assignment"], dtype=np.int64)
-            )
-        run = AnnealRun(
-            start,
-            objective=session.request.objective or self.objective,
-            tmax=self.tmax,
-            tmin=self.tmin,
-            cooling_ratio=self.cooling_ratio,
-            equilibrium_refusals=self.equilibrium_refusals,
-            max_steps=self.max_steps,
-            reheat=session.open_ended,
-            seed=session.rng,
-            on_improvement=session._incumbent_improved,
-        )
-        if state is None:
-            session._set_phase("anneal")
-        else:
-            run.restore_state(graph, state)
-        return run
+    stepper = AnnealRun

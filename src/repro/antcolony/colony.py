@@ -22,18 +22,17 @@ The loop lives in :class:`AntColonyRun`, a resumable stepper (one
 :meth:`AntColonyRun.step` = one colony iteration) whose state —
 pheromone field, territories, incumbent — serialises for the
 :mod:`repro.api` checkpoint machinery.  A session drives it through
-:meth:`AntColonyRun.advance`; tests may step it directly.
+:meth:`AntColonyRun.advance`; tests may step a session's stepper
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from repro.common.exceptions import ConfigurationError
-from repro.common.rng import SeedLike, ensure_rng
 from repro.graph.graph import Graph
 from repro.antcolony.pheromone import PheromoneField
 from repro.partition.objectives import Objective, get_objective
@@ -107,100 +106,52 @@ def _daemon_local_search(
 class AntColonyRun:
     """Resumable competing-colonies loop (one :meth:`step` = one iteration).
 
-    Setup (percolation territory seeding, initial pheromone trails)
-    happens in the constructor; :attr:`best` / :attr:`best_energy` hold
-    the best partition seen.
-
-    Parameters
-    ----------
-    graph, k, objective:
-        Problem definition; lower objective is better.
-    num_ants:
-        Ants dispatched per colony per iteration.
-    walk_length:
-        Steps per ant walk.
-    evaporation, deposit, reinforcement:
-        Trail decay rate, per-step deposit, and the bonus laid on a
-        colony's internal edges when the global partition improves.
-    exploration_bonus:
-        Added attractiveness of edges the colony has never marked (the
-        paper's "local heuristic forces ants to explore edges which have
-        no pheromone").
-    pheromone_power, heuristic_power:
-        Exponents α, β of the standard ant-system step rule
-        ``p(e) ∝ τ(e)^α · w(e)^β``.
-    iterations:
-        Iteration cap (``None``: no cap, run until the session pauses).
-    initial_partition:
-        Territory seeding; defaults to percolation (paper §4.4).
-    on_improvement:
-        Callback ``(energy, partition)`` on every new best (sessions
-        turn it into ``incumbent`` events).
+    The stepper of :class:`AntColonyPartitioner`: it reads the colony
+    parameters from ``session.solver`` and the objective from
+    ``session.request``.  A fresh run seeds the colony territories by
+    percolation on ``session.rng`` (paper §4.4) and lays the initial
+    trails; ``state`` (a checkpoint's ``state`` block) restores one
+    instead.  :attr:`best` / :attr:`best_energy` hold the best partition
+    seen.  While the session has a wall-clock budget the iteration cap
+    is lifted.
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        k: int,
-        objective: Objective | str = "mcut",
-        num_ants: int = 8,
-        walk_length: int = 8,
-        evaporation: float = 0.05,
-        deposit: float = 1.0,
-        reinforcement: float = 4.0,
-        exploration_bonus: float = 0.5,
-        pheromone_power: float = 1.0,
-        heuristic_power: float = 1.0,
-        iterations: int | None = 200,
-        daemon_moves: int = 200,
-        seed: SeedLike = None,
-        initial_partition: Partition | None = None,
-        on_improvement: Callable[[float, Partition], None] | None = None,
+        self, session: SolveSession, state: dict | None = None
     ) -> None:
-        if k < 1 or k > graph.num_vertices:
-            raise ConfigurationError(f"k must be in [1, {graph.num_vertices}]")
-        self.graph = graph
-        self.k = k
-        self.obj = get_objective(objective)
-        self.rng = ensure_rng(seed)
-        self.num_ants = num_ants
-        self.walk_length = walk_length
-        self.evaporation = evaporation
-        self.deposit = deposit
-        self.reinforcement = reinforcement
-        self.exploration_bonus = exploration_bonus
-        self.pheromone_power = pheromone_power
-        self.heuristic_power = heuristic_power
-        self.iterations = iterations
-        self.daemon_moves = daemon_moves
-        self.on_improvement = on_improvement
+        request = session.request
+        self.solver = session.solver
+        self.graph, self.k = request.graph, request.k
+        self.obj = get_objective(request.objective)
+        self.rng = session.rng
+        self.iterations = (
+            None if session.open_ended else self.solver.iterations
+        )
+        self.on_improvement = session._incumbent_improved
+        self.field = PheromoneField(self.graph, self.k, initial=0.0)
+        if state is not None:
+            self.restore_state(state)
+            return
 
-        if initial_partition is None:
-            from repro.percolation.percolation import PercolationPartitioner
+        from repro.percolation.percolation import PercolationPartitioner
 
-            initial_partition = PercolationPartitioner(k=k).partition(
-                graph, seed=self.rng
-            )
-        if initial_partition.num_parts != k:
-            raise ConfigurationError(
-                f"initial partition has {initial_partition.num_parts} parts, "
-                f"expected {k}"
-            )
-        self.fallback = initial_partition.assignment.copy()
-
-        self.field = PheromoneField(graph, k, initial=0.0)
+        session._set_phase("percolation-init")
+        initial = PercolationPartitioner(k=self.k).partition(
+            self.graph, seed=self.rng
+        )
+        self.fallback = initial.assignment.copy()
         # Seed trails: each colony marks the edges internal to its start part.
         eu, ev = self.field.edge_u, self.field.edge_v
-        for colony in range(k):
+        for colony in range(self.k):
             internal = (self.fallback[eu] == colony) & (
                 self.fallback[ev] == colony
             )
-            self.field.values[colony, internal] = deposit
-
-        self.best = initial_partition.copy()
+            self.field.values[colony, internal] = self.solver.deposit
+        self.best = initial.copy()
         self.best_energy = self.obj.value(self.best)
         self.current_assignment = self.fallback.copy()
         self.it = 0
+        session._set_phase("colonies")
 
     def step(self) -> bool:
         """One colony iteration (motion, update, centralised action);
@@ -208,6 +159,7 @@ class AntColonyRun:
         if self.iterations is not None and self.it >= self.iterations:
             return False
         graph, k, rng, field = self.graph, self.k, self.rng, self.field
+        solver = self.solver
         w_edges = graph.weights  # per-arc weights (CSR order)
         eu, ev = field.edge_u, field.edge_v
         # --- Step 1: motion ----------------------------------------------
@@ -216,11 +168,13 @@ class AntColonyRun:
             territory = np.flatnonzero(self.current_assignment == colony)
             if territory.size == 0:
                 territory = np.array([int(rng.integers(graph.num_vertices))])
-            starts = territory[rng.integers(territory.size, size=self.num_ants)]
+            starts = territory[
+                rng.integers(territory.size, size=solver.num_ants)
+            ]
             for s in starts:
                 v = int(s)
                 walked: list[int] = []
-                for _step in range(self.walk_length):
+                for _step in range(solver.walk_length):
                     lo, hi = graph.indptr[v], graph.indptr[v + 1]
                     if hi == lo:
                         break
@@ -228,10 +182,10 @@ class AntColonyRun:
                     tau = field.values[colony, edge_ids]
                     heur = w_edges[lo:hi]
                     attract = (
-                        np.power(tau + 1e-12, self.pheromone_power)
-                        * np.power(heur + 1e-12, self.heuristic_power)
+                        np.power(tau + 1e-12, solver.pheromone_power)
+                        * np.power(heur + 1e-12, solver.heuristic_power)
                     )
-                    attract = attract + self.exploration_bonus * (tau <= 0.0)
+                    attract = attract + solver.exploration_bonus * (tau <= 0.0)
                     total = float(attract.sum())
                     if total <= 0.0:
                         break
@@ -243,21 +197,20 @@ class AntColonyRun:
         for colony, walked in paths:
             if walked:
                 field.deposit(
-                    colony, np.asarray(walked, dtype=np.int64), self.deposit
+                    colony, np.asarray(walked, dtype=np.int64), solver.deposit
                 )
         # --- Step 3: centralised ownership + daemon action + scoring ------
         ownership = field.vertex_ownership()
         partition = _ownership_to_partition(graph, ownership, k, self.fallback)
-        if self.daemon_moves > 0:
+        if solver.daemon_moves > 0:
             _daemon_local_search(
-                partition, self.obj, rng, max_moves=self.daemon_moves
+                partition, self.obj, rng, max_moves=solver.daemon_moves
             )
         energy = self.obj.value(partition)
         if energy < self.best_energy - 1e-12:
             self.best = partition.copy()
             self.best_energy = energy
-            if self.on_improvement is not None:
-                self.on_improvement(self.best_energy, self.best)
+            self.on_improvement(self.best_energy, self.best)
             # Backward update: reinforce internal edges of the improved
             # partition (food found — strengthen the trail home).
             a = partition.assignment
@@ -266,9 +219,9 @@ class AntColonyRun:
                     (a[eu] == colony) & (a[ev] == colony)
                 )
                 if internal.size:
-                    field.deposit(colony, internal, self.reinforcement)
+                    field.deposit(colony, internal, solver.reinforcement)
         self.current_assignment = partition.assignment.copy()
-        field.evaporate(self.evaporation)
+        field.evaporate(solver.evaporation)
         self.it += 1
         return self.iterations is None or self.it < self.iterations
 
@@ -340,10 +293,31 @@ class AntColonyPartitioner(Solver):
     """Table 1's "Ant colony" row — runs :class:`AntColonyRun` with the
     paper's four tuning parameters (ants per colony, walk length,
     evaporation, deposit) exposed first.
+
+    Attributes
+    ----------
+    num_ants:
+        Ants dispatched per colony per iteration.
+    walk_length:
+        Steps per ant walk.
+    evaporation, deposit, reinforcement:
+        Trail decay rate, per-step deposit, and the bonus laid on a
+        colony's internal edges when the global partition improves.
+    exploration_bonus:
+        Added attractiveness of edges the colony has never marked (the
+        paper's "local heuristic forces ants to explore edges which have
+        no pheromone").
+    pheromone_power, heuristic_power:
+        Exponents α, β of the standard ant-system step rule
+        ``p(e) ∝ τ(e)^α · w(e)^β``.
+    daemon_moves:
+        Greedy boundary moves of the centralised step per iteration
+        (``0`` turns it off).
+    iterations:
+        Iteration cap, lifted while the session has a wall-clock budget.
     """
 
     k: int
-    objective: str = "mcut"
     num_ants: int = 8
     walk_length: int = 8
     evaporation: float = 0.05
@@ -358,44 +332,4 @@ class AntColonyPartitioner(Solver):
     name = "ant-colony"
     #: Iterative family: sessions may run island-model (`islands > 1`).
     supports_islands = True
-
-    def stepper(
-        self, session: SolveSession, state: dict | None = None
-    ) -> AntColonyRun:
-        """A fresh :class:`AntColonyRun` (territories seeded by
-        percolation on ``session.rng``), or one restored from a
-        checkpoint ``state``."""
-        request = session.request
-        initial = None
-        if state is None:
-            session._set_phase("percolation-init")
-        else:
-            # The placeholder skips the constructor's percolation init, so
-            # the restored rng stream is not perturbed before
-            # restore_state overwrites every field.
-            initial = Partition(
-                request.graph, np.asarray(state["fallback"], dtype=np.int64)
-            )
-        run = AntColonyRun(
-            request.graph,
-            request.k,
-            objective=request.objective or self.objective,
-            num_ants=self.num_ants,
-            walk_length=self.walk_length,
-            evaporation=self.evaporation,
-            deposit=self.deposit,
-            reinforcement=self.reinforcement,
-            exploration_bonus=self.exploration_bonus,
-            pheromone_power=self.pheromone_power,
-            heuristic_power=self.heuristic_power,
-            iterations=None if session.open_ended else self.iterations,
-            daemon_moves=self.daemon_moves,
-            seed=session.rng,
-            initial_partition=initial,
-            on_improvement=session._incumbent_improved,
-        )
-        if state is None:
-            session._set_phase("colonies")
-        else:
-            run.restore_state(state)
-        return run
+    stepper = AntColonyRun

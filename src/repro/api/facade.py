@@ -42,7 +42,7 @@ def solve(
     k: int,
     method: str = "fusion-fission",
     *,
-    objective: str | None = None,
+    objective: str = "mcut",
     seed: SeedLike = None,
     budget: Budget | None = None,
     observers: tuple[Callable[[SolveEvent], None], ...] = (),
@@ -90,6 +90,17 @@ def solve(
     return session.run()
 
 
+def checkpoint_objective(checkpoint: dict) -> str:
+    """The criterion a checkpointed session optimises.
+
+    The header's ``objective`` when set; checkpoints written while the
+    metaheuristics still had an ``objective`` option leave the header
+    ``null`` and carry it in ``options`` instead.
+    """
+    options = dict(checkpoint.get("options") or {})
+    return checkpoint.get("objective") or options.get("objective") or "mcut"
+
+
 def resume(
     graph: Graph,
     checkpoint: dict,
@@ -121,12 +132,15 @@ def resume(
         method = checkpoint["method"]
         k = int(checkpoint["k"])
         options = dict(checkpoint.get("options") or {})
+        objective = checkpoint_objective(checkpoint)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"checkpoint header is malformed: {type(exc).__name__}: {exc}"
         ) from exc
-    # Retired solver options: the cascade ran only on a fresh start, and
-    # the wall-clock budget is the session's.
+    # Retired solver options: the cascade ran only on a fresh start, the
+    # objective is the request's, and the wall-clock budget is the
+    # session's.
+    options.pop("objective", None)
     options.pop("init_cascade", None)
     if options.pop("time_budget", None) is not None:
         raise CheckpointError(
@@ -144,7 +158,7 @@ def resume(
     request = SolveRequest(
         graph=graph,
         k=k,
-        objective=checkpoint.get("objective"),
+        objective=objective,
         seed=None,  # the restored rng state is authoritative
         budget=budget or Budget(),
         name=checkpoint.get("name", "graph"),

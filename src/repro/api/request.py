@@ -120,11 +120,11 @@ class SolveRequest:
     k:
         Target number of parts.
     objective:
-        Criterion for the metaheuristics (``"cut"``/``"ncut"``/
-        ``"mcut"``, case and surrounding blanks ignored; anything else
-        is refused); ``None`` keeps each solver's configured default.
-        Direct constructions (linear, spectral, multilevel, percolation)
-        ignore it, exactly as their constructors always have.
+        Criterion the metaheuristics optimise and every report is
+        scored on (``"cut"``/``"ncut"``/``"mcut"``, case and
+        surrounding blanks ignored; anything else is refused).  Direct
+        constructions (linear, spectral, multilevel, percolation) do
+        not optimise it.
     seed:
         Anything :func:`~repro.common.rng.ensure_rng` accepts.
     budget:
@@ -160,7 +160,7 @@ class SolveRequest:
 
     graph: Graph
     k: int
-    objective: str | None = None
+    objective: str = "mcut"
     seed: SeedLike = None
     budget: Budget = field(default_factory=Budget)
     name: str = "graph"
@@ -177,9 +177,8 @@ class SolveRequest:
                 f"k={self.k} exceeds the vertex count "
                 f"({self.graph.num_vertices})"
             )
-        if self.objective is not None:
-            self.objective = str(self.objective).strip().lower()
-            get_objective(self.objective)
+        self.objective = str(self.objective).strip().lower()
+        get_objective(self.objective)
         if self.budget is None:
             self.budget = Budget()
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:

@@ -11,12 +11,14 @@ and serialising its full state into a JSON checkpoint that
 
 Steppers
 --------
-The session gets its stepper from the solver's one factory,
-``solver.stepper(session, state)``: with ``state=None`` it builds a
-fresh stepper whose every random draw goes through ``session.rng``
-(announcing setup phases through ``session._set_phase``); otherwise it
-restores one from the ``state`` block of a checkpoint.  Either way it
-wires ``session._incumbent_improved`` as the improvement callback.  An
+A solver names its stepper class as ``solver.stepper``; the session
+builds it as ``solver.stepper(session, state)``.  The stepper reads its
+parameters from ``session.solver`` and the graph, ``k`` and objective
+from ``session.request``.  With ``state=None`` it starts fresh, every
+random draw going through ``session.rng`` (setup phases announced
+through ``session._set_phase``); otherwise it restores itself from the
+``state`` block of a checkpoint and draws nothing.  Either way it
+reports new bests through ``session._incumbent_improved``.  An
 ``islands > 1`` session drives an :class:`~repro.api.islands.IslandGroup`
 instead.  A stepper implements:
 
@@ -31,8 +33,9 @@ instead.  A stepper implements:
   continue from a migrated incumbent.
 
 The iterative families' loop classes (``AnnealRun``, ``AntColonyRun``,
-``FusionFissionRun``) are their steppers; :class:`OneShotStepper` runs
-the direct constructions (linear, spectral, multilevel, percolation).
+``FusionFissionRun``) are their solvers' steppers; :class:`OneShotStepper`
+runs the direct constructions (linear, spectral, multilevel,
+percolation).
 
 Determinism contract
 --------------------
@@ -174,7 +177,7 @@ class SolveSession:
     ----------
     solver:
         The solver that created this session (exposes ``name``, the
-        configured hyper-parameters and the ``stepper`` factory).
+        configured hyper-parameters and the ``stepper`` class).
     request:
         The :class:`~repro.api.request.SolveRequest` being solved.
     checkpoint:
@@ -223,17 +226,9 @@ class SolveSession:
 
     @property
     def open_ended(self) -> bool:
-        """True while the request has a wall-clock budget: stepper
-        factories then lift their caps so the run uses all of it."""
+        """True while the request has a wall-clock budget: steppers
+        then lift their caps so the run uses all of it."""
         return self.request.budget.max_seconds is not None
-
-    def _objective_name(self) -> str:
-        """Criterion name reported for this session."""
-        return (
-            self.request.objective
-            or getattr(self.solver, "objective", None)
-            or "mcut"
-        )
 
     # -- observers & events ------------------------------------------------
     def subscribe(
@@ -368,7 +363,7 @@ class SolveSession:
             EVENT_START,
             method=self.method,
             k=self.request.k,
-            criterion=self._objective_name(),
+            criterion=self.request.objective,
             resumed=self.iteration > 0,
         )
         remaining = None
@@ -408,7 +403,7 @@ class SolveSession:
     def report(self) -> SolveReport:
         """Snapshot the session into a :class:`SolveReport`."""
         best = self.stepper.best_partition()
-        objective = self._objective_name()
+        objective = self.request.objective
         value = self.stepper.best_objective()
         metrics = None
         if best is not None:
@@ -562,7 +557,7 @@ class OneShotStepper:
     construction from it, bit-identically); a checkpoint taken after
     carries the finished assignment.  The construction itself is the
     solver's ``partition(graph, seed)``; this class is the
-    :class:`Solver` default ``stepper`` factory.
+    :class:`Solver` default ``stepper``.
     """
 
     def __init__(
@@ -607,17 +602,18 @@ class Solver:
     """Base class of every partitioner family.
 
     A subclass is a dataclass whose fields are the family's parameters
-    (``k`` first), with a registry ``name``.  An iterative family writes
-    ``stepper(session, state=None)``, the factory the session drives; a
-    one-shot family writes only ``partition(graph, seed)`` and keeps the
-    default :class:`OneShotStepper`.
+    (``k`` first), with a registry ``name``.  An iterative family sets
+    ``stepper`` to its loop class, which the session builds as
+    ``stepper(session, state=None)``; a one-shot family writes only
+    ``partition(graph, seed)`` and keeps the default
+    :class:`OneShotStepper`.
     """
 
     name: str
     k: int
     #: Only the iterative families run island-model (``islands > 1``).
     supports_islands = False
-    #: The session's stepper factory (see the module docstring).
+    #: The session's stepper class (see the module docstring).
     stepper = OneShotStepper
 
     def start(

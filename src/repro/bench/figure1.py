@@ -79,9 +79,10 @@ def trace_metaheuristic(
     from repro.api import EVENT_INCUMBENT, Budget, SolveRequest, get_solver
 
     trace = QualityTrace(label=method)
-    session = get_solver(method, k, objective="mcut").start(
+    session = get_solver(method, k).start(
         SolveRequest(
-            graph=graph, k=k, seed=seed, budget=Budget(max_seconds=budget)
+            graph=graph, k=k, objective="mcut", seed=seed,
+            budget=Budget(max_seconds=budget),
         )
     )
 

@@ -22,7 +22,9 @@ Benchmarks
 * ``coarsen_level``   — heavy-edge matching + contraction of one
   multilevel level (no reference; absolute throughput).
 * ``ff_step``         — fusion–fission main-loop steps/second on a
-  community graph (no reference; absolute throughput).
+  community graph, stepping a default ``FusionFissionPartitioner``
+  session's stepper: the configuration a solve runs (no reference;
+  absolute throughput).
 * ``ff_initialize``   — Algorithm-2 molecule initialisation with the
   vectorized matched-prelude cascade vs the exact O(n²)-ish law loop
   (the hot spot PR 4 left behind).  Verification checks both cascades
@@ -225,17 +227,18 @@ def _bench_coarsen_level(graph: Graph, reps) -> PerfRecord:
 
 
 def _bench_ff_step(n: int, k: int, reps) -> PerfRecord:
-    from repro.fusionfission.energy import ScaledEnergy
-    from repro.fusionfission.core import FusionFissionRun
+    from repro.api.request import SolveRequest
+    from repro.fusionfission.partitioner import FusionFissionPartitioner
 
     cave = 32
     caves = max(2, min(n, 1536) // cave)
     graph = weighted_caveman_graph(caves, cave)
     steps = 200
-    energy = ScaledEnergy(graph.num_vertices, k, objective="mcut")
 
     def run():
-        ff = FusionFissionRun(graph, k, energy, max_steps=steps, seed=0)
+        ff = FusionFissionPartitioner(k, max_steps=steps).start(
+            SolveRequest(graph=graph, k=k, seed=0)
+        ).stepper
         while ff.step():
             pass
 
@@ -245,7 +248,8 @@ def _bench_ff_step(n: int, k: int, reps) -> PerfRecord:
         n=graph.num_vertices, m=graph.num_edges, k=k, reps=reps,
         seconds=sec, ops_per_second=steps / sec,
         unit="steps/s",
-        notes=f"{steps} fusion-fission main-loop steps (incl. init)",
+        notes=f"{steps} fusion-fission main-loop steps of a default "
+              "solver's session stepper (incl. session start and init)",
     )
 
 

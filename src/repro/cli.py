@@ -255,9 +255,7 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         raise ReproError("portfolio needs -k with a graph file INPUT")
     # Method names are validated before any graph I/O.
     specs = [
-        SolverSpec.for_method(
-            name, objective=args.objective, time_budget=args.budget
-        )
+        SolverSpec.for_method(name, time_budget=args.budget)
         for name in args.methods.split(",")
         if name.strip()
     ]
@@ -599,10 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", default="fusion-fission",
                    help="method name or alias "
                         f"(canonical: {', '.join(sorted(METHOD_FACTORIES))})")
-    s.add_argument("--objective", default=None,
+    s.add_argument("--objective", default="mcut",
                    choices=["cut", "ncut", "mcut"],
-                   help="criterion for the metaheuristics "
-                        "(default: each solver's configured default)")
+                   help="criterion the metaheuristics optimise and the "
+                        "report scores (default: mcut)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", default=None,
                    help="wall-clock budget, e.g. '2s', '500ms', '1.5m'; "

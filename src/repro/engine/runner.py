@@ -222,6 +222,7 @@ def execute_task(
         request = SolveRequest(
             graph=graph,
             k=task.k,
+            objective=task.objective,
             seed=task.seed,
             budget=Budget(max_seconds=budget),
             name=task.spec.label,

@@ -50,21 +50,18 @@ class SolverSpec:
     def for_method(
         cls,
         method: str,
-        objective: str | None = None,
         time_budget: float | None = None,
         **options: Any,
     ) -> "SolverSpec":
-        """Build a spec with the standard budget/objective plumbing.
+        """Build a spec with the standard budget plumbing.
 
-        ``objective`` and ``time_budget`` are kept only for methods that
-        use them (the metaheuristics); a budget is what stops their runs
-        (``repro portfolio --budget``).
+        ``time_budget`` is kept only for the metaheuristics, whose runs a
+        budget stops (``repro portfolio --budget``).  The objective is
+        the problem's (:class:`~repro.engine.problem.PartitionProblem`).
         """
         key = canonical_method(method)
         if key not in METAHEURISTICS:
             return cls(method=key, options=options)
-        if objective is not None:
-            options["objective"] = objective
         return cls(method=key, options=options, time_budget=time_budget)
 
     def build_solver(self, k: int):

@@ -38,13 +38,13 @@ stepper (one :meth:`FusionFissionRun.step` = one Algorithm-1 step)
 whose full state — molecule, incumbents, law table, temperature —
 serialises for the :mod:`repro.api` checkpoint machinery.  A session
 drives it through :meth:`FusionFissionRun.advance`; tests and
-benchmarks may step it directly.
+benchmarks may step a session's stepper directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,6 +61,9 @@ from repro.fusionfission.operators import (
 from repro.fusionfission.temperature import TemperatureSchedule
 from repro.graph.graph import Graph
 from repro.partition.partition import Partition
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.session import SolveSession
 
 __all__ = [
     "FusionFissionResult",
@@ -236,59 +239,34 @@ def initialize_molecule(
 class FusionFissionRun:
     """Algorithm 1, the fusion–fission main loop, as a resumable stepper.
 
-    One :meth:`step` is one main-loop step.  Setup — including
-    :func:`initialize_molecule` when no ``initial`` molecule is given —
-    happens in the constructor.  After the loop stops, :meth:`finalize`
-    assembles the :class:`FusionFissionResult` (coercing to the target k
-    in the rare never-visited case).
+    The stepper of
+    :class:`~repro.fusionfission.partitioner.FusionFissionPartitioner`:
+    it reads the paper's parameters, the step cap, the part-count
+    ceiling and the two ablation switches from ``session.solver``, and
+    the graph, the target ``k`` and the objective from
+    ``session.request``.  The molecule is steered around the target
+    ``k`` but may drift (that drift is the method's point); the atom
+    count never exceeds ``max(k + 1, round(max_parts_factor · k))``,
+    which keeps hot phases from shattering it.
 
-    Parameters
-    ----------
-    graph, k_target:
-        Problem definition; the molecule is steered around ``k_target``
-        atoms but may drift (that drift is the method's point).
-    energy:
-        The scaled-energy function (objective + binding curve).
-    schedule:
-        The five-parameter temperature machinery (default:
-        ``TemperatureSchedule()``).
-    laws:
-        Ejection law table, shared with the initialisation so learning
-        persists (default: fresh table).
-    max_steps:
-        Step cap (``None``: no cap, run until the session pauses).
-    max_parts_factor:
-        Hard ceiling ``max_parts = factor * k_target`` on the atom count
-        (keeps hot phases from shattering the molecule).
-    initial:
-        Starting molecule; default runs :func:`initialize_molecule`.
-    on_improvement:
-        Callback ``(raw_objective, partition)`` fired when the best
-        molecule *at the target k* improves (sessions turn it into
-        ``incumbent`` events).
-    on_phase:
-        Callback ``(phase)`` fired with ``"finalize"`` when
-        :meth:`advance` finds the loop stopped (sessions turn it into a
-        ``phase`` event).
+    A fresh run builds the molecule with :func:`initialize_molecule`
+    (``cascade="auto"``) on ``session.rng`` and records it; ``state`` (a
+    checkpoint's ``state`` block) restores one instead.  One
+    :meth:`step` is one main-loop step.  New bests at the target k go to
+    ``session._incumbent_improved``; the ``initialize``, ``search`` and
+    ``finalize`` phases to ``session._set_phase``.  After the loop
+    stops, :meth:`finalize` assembles the :class:`FusionFissionResult`.
+    While the session has a wall-clock budget the step cap is lifted.
     """
 
     #: Main-loop steps per session iteration.
     chunk = 32
 
     def __init__(
-        self,
-        graph: Graph,
-        k_target: int,
-        energy: ScaledEnergy,
-        schedule: TemperatureSchedule | None = None,
-        laws: LawTable | None = None,
-        max_steps: int | None = 5000,
-        max_parts_factor: float = 2.0,
-        seed: SeedLike = None,
-        initial: Partition | None = None,
-        on_improvement: Callable[[float, Partition], None] | None = None,
-        on_phase: Callable[[str], None] | None = None,
+        self, session: SolveSession, state: dict | None = None
     ) -> None:
+        solver, request = session.solver, session.request
+        graph, k_target = request.graph, request.k
         n = graph.num_vertices
         if not (2 <= k_target <= n):
             raise ConfigurationError(
@@ -296,28 +274,42 @@ class FusionFissionRun:
             )
         self.graph = graph
         self.k_target = k_target
-        self.energy = energy
-        self.rng = ensure_rng(seed)
-        self.schedule = schedule or TemperatureSchedule()
-        self.laws = laws or LawTable(n)
-        self.max_steps = max_steps
+        self.energy = ScaledEnergy(n, k_target, objective=request.objective)
+        if not solver.scale_energy:
+            # Ablation: identity scaling (raw per-molecule objective).
+            self.energy.scale.binding_for_parts = lambda k: 1.0  # type: ignore[method-assign]
+        self.laws = LawTable(n, learning_rate=solver.law_learning_rate)
+        if not solver.learn_laws:
+            # Ablation: ejection laws stay uniform.
+            self.laws.update = lambda *args, **kwargs: None  # type: ignore[method-assign]
+        self.schedule = TemperatureSchedule(
+            tmax=solver.tmax,
+            tmin=solver.tmin,
+            nbt=solver.nbt,
+            alpha_slope=solver.alpha_slope,
+            alpha_offset=solver.alpha_offset,
+        )
+        self.rng = session.rng
+        self.max_steps = None if session.open_ended else solver.max_steps
         self.max_parts = max(
-            k_target + 1, int(round(max_parts_factor * k_target))
+            k_target + 1, int(round(solver.max_parts_factor * k_target))
         )
         self.ideal_size = n / k_target
-        self.on_improvement = on_improvement
-        self.on_phase = on_phase
+        self.on_improvement = session._incumbent_improved
+        self.on_phase = session._set_phase
+        if state is not None:
+            self.restore_state(state)
+            return
 
-        if initial is None:
-            initial = initialize_molecule(
-                graph, k_target, self.laws, energy, seed=self.rng
-            )
-        self.current = initial
-        current_raw = energy.raw(self.current)
-        self.current_energy = energy.scale_raw(
+        session._set_phase("initialize")
+        self.current = initialize_molecule(
+            graph, k_target, self.laws, self.energy, seed=self.rng,
+            cascade="auto",
+        )
+        current_raw = self.energy.raw(self.current)
+        self.current_energy = self.energy.scale_raw(
             current_raw, self.current.num_parts
         )
-
         self.best = self.current.copy()
         self.best_energy = self.current_energy
         self.best_at_target: Partition | None = None
@@ -327,6 +319,7 @@ class FusionFissionRun:
         self.restarts = 0
         self.t = self.schedule.initial()
         self._record(self.current, self.current_energy, current_raw)
+        session._set_phase("search")
 
     def _record(self, partition: Partition, scaled: float, raw: float) -> None:
         k = partition.num_parts
@@ -338,8 +331,7 @@ class FusionFissionRun:
         if k == self.k_target and raw < self.best_raw_at_target - 1e-12:
             self.best_at_target = partition.copy()
             self.best_raw_at_target = raw
-            if self.on_improvement is not None:
-                self.on_improvement(raw, self.best_at_target)
+            self.on_improvement(raw, self.best_at_target)
 
     def step(self) -> bool:
         """One Algorithm-1 step; False once the step cap is hit."""
@@ -402,8 +394,7 @@ class FusionFissionRun:
         loop stops, :meth:`finalize` runs and this returns False."""
         for _ in range(self.chunk):
             if not self.step():
-                if self.on_phase is not None:
-                    self.on_phase("finalize")
+                self.on_phase("finalize")
                 self.finalize()
                 return False
         return True
@@ -451,9 +442,11 @@ class FusionFissionRun:
     def finalize(self) -> FusionFissionResult:
         """Assemble the result (coerce to the target k if never visited)."""
         if self.best_at_target is None:
-            # The search never visited the exact target k (possible only
-            # with a custom `initial`); coerce the best molecule to
-            # k_target by greedy merges/percolation splits.
+            # The search never visited the exact target k: Algorithm 2
+            # stopped at its 8·n step cap above it (e.g. on a graph with
+            # more connected components than k) and no step reached it
+            # since.  Coerce the best molecule to k_target by greedy
+            # merges/percolation splits.
             self.best_at_target = _coerce_to_k(
                 self.best.copy(), self.k_target, self.rng
             )

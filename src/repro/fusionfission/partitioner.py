@@ -3,24 +3,18 @@
 :class:`FusionFissionPartitioner` exposes the paper's five parameters
 (``tmax``, ``tmin``, ``nbt``, and the ``k``/``r`` constants of α(t), here
 ``alpha_slope``/``alpha_offset``) plus engineering knobs (step cap,
-objective, law learning rate) and two ablation switches that turn off
-the binding-energy scaling (``scale_energy``) and the law learning
-(``learn_laws``).  ``docs/paper_mapping.md`` maps each part to the paper.
+part-count ceiling, law learning rate) and two ablation switches that
+turn off the binding-energy scaling (``scale_energy``) and the law
+learning (``learn_laws``).  The criterion is the request's
+``objective``.  ``docs/paper_mapping.md`` maps each part to the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.fusionfission.core import FusionFissionRun, initialize_molecule
-from repro.fusionfission.energy import ScaledEnergy
-from repro.fusionfission.laws import LawTable
-from repro.fusionfission.temperature import TemperatureSchedule
-from repro.graph.graph import Graph
-from repro.partition.partition import Partition
-from repro.api.session import SolveSession, Solver
+from repro.fusionfission.core import FusionFissionRun
+from repro.api.session import Solver
 
 __all__ = ["FusionFissionPartitioner"]
 
@@ -35,8 +29,6 @@ class FusionFissionPartitioner(Solver):
         Target number of atoms; the returned partition has exactly ``k``
         parts (the session stepper's :meth:`FusionFissionRun.finalize`
         holds the full multi-k result).
-    objective:
-        Raw criterion being optimised (the ATC study uses ``"mcut"``).
     tmax, tmin, nbt, alpha_slope, alpha_offset:
         The five paper parameters (§6: "the fusion fission algorithm has
         five parameters, tmax, tmin and nbt for the temperature, k and r
@@ -55,7 +47,6 @@ class FusionFissionPartitioner(Solver):
     """
 
     k: int
-    objective: str = "mcut"
     tmax: float = 1.0
     tmin: float = 0.0
     nbt: int = 300
@@ -70,80 +61,4 @@ class FusionFissionPartitioner(Solver):
     name = "fusion-fission"
     #: Iterative family: sessions may run island-model (`islands > 1`).
     supports_islands = True
-
-    def _energy(
-        self,
-        graph: Graph,
-        k: int | None = None,
-        objective: str | None = None,
-    ) -> ScaledEnergy:
-        energy = ScaledEnergy(
-            graph.num_vertices,
-            self.k if k is None else k,
-            objective=objective or self.objective,
-        )
-        if not self.scale_energy:
-            # Ablation: identity scaling (raw per-molecule objective).
-            energy.scale.binding_for_parts = lambda k: 1.0  # type: ignore[method-assign]
-        return energy
-
-    def _laws(self, graph: Graph) -> LawTable:
-        laws = LawTable(graph.num_vertices, learning_rate=self.law_learning_rate)
-        if not self.learn_laws:
-            laws.update = lambda *args, **kwargs: None  # type: ignore[method-assign]
-        return laws
-
-    def _schedule(self) -> TemperatureSchedule:
-        return TemperatureSchedule(
-            tmax=self.tmax,
-            tmin=self.tmin,
-            nbt=self.nbt,
-            alpha_slope=self.alpha_slope,
-            alpha_offset=self.alpha_offset,
-        )
-
-    def stepper(
-        self, session: SolveSession, state: dict | None = None
-    ) -> FusionFissionRun:
-        """A fresh :class:`FusionFissionRun` from Algorithm 2's molecule
-        on ``session.rng``, or one restored from a checkpoint ``state``.
-
-        Phases: ``initialize`` (Algorithm 2), ``search`` (Algorithm 1),
-        ``finalize`` (coercion to the target k when needed).
-        """
-        graph, k = session.request.graph, session.request.k
-        energy = self._energy(
-            graph, k=k, objective=session.request.objective or self.objective
-        )
-        laws = self._laws(graph)
-        if state is None:
-            session._set_phase("initialize")
-            initial = initialize_molecule(
-                graph, k, laws, energy, seed=session.rng, cascade="auto"
-            )
-        else:
-            # The placeholder skips Algorithm 2 so the restored rng stream
-            # is untouched; restore_state then overwrites every field.
-            # (The constructor still records the placeholder, which can
-            # count one incumbent event before any observer subscribes.)
-            initial = Partition(
-                graph, np.asarray(state["current_assignment"], dtype=np.int64)
-            )
-        run = FusionFissionRun(
-            graph,
-            k,
-            energy,
-            schedule=self._schedule(),
-            laws=laws,
-            max_steps=None if session.open_ended else self.max_steps,
-            max_parts_factor=self.max_parts_factor,
-            seed=session.rng,
-            initial=initial,
-            on_improvement=session._incumbent_improved,
-            on_phase=session._set_phase,
-        )
-        if state is None:
-            session._set_phase("search")
-        else:
-            run.restore_state(state)
-        return run
+    stepper = FusionFissionRun

@@ -281,7 +281,8 @@ class Graph:
         owner = self.arc_owners()
         if np.any(owner == self.indices):
             raise GraphError("self-loops are not allowed")
-        # Symmetry check: the multiset of (min,max,w) arcs must pair up.
+        # Symmetry check: the multiset of (min,max,w) arcs must pair up
+        # exactly, so both directions of an edge read the same weight.
         lo = np.minimum(owner, self.indices)
         hi = np.maximum(owner, self.indices)
         order = np.lexsort((self.weights, hi, lo))
@@ -291,7 +292,7 @@ class Graph:
         if not (
             np.array_equal(lo[0::2], lo[1::2])
             and np.array_equal(hi[0::2], hi[1::2])
-            and np.allclose(wt[0::2], wt[1::2])
+            and np.array_equal(wt[0::2], wt[1::2])
         ):
             raise GraphError("adjacency structure is not symmetric")
 

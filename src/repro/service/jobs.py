@@ -78,7 +78,7 @@ class JobSpec:
     graph_seed: int | None = None
     k: int = 2
     method: str = "fusion-fission"
-    objective: str | None = None
+    objective: str = "mcut"
     seed: int = 0
     max_iterations: int | None = None
     islands: int = 1
@@ -132,17 +132,13 @@ class JobSpec:
         if k is None:
             raise ConfigurationError("submit needs 'k' with an inline graph")
         objective = payload.get("objective")
-        if objective is not None:
-            objective = str(objective).strip().lower()
+        if objective is None:
+            objective = "mcut"
+        objective = str(objective).strip().lower()
         options = payload.get("options") or {}
         if not isinstance(options, dict):
             raise ConfigurationError(
                 f"options must be an object, got {type(options).__name__}"
-            )
-        if "objective" in options:
-            raise ConfigurationError(
-                "set the objective with the top-level 'objective' field, "
-                "not inside 'options'"
             )
         for key, value in options.items():
             if not isinstance(value, (bool, int, float, str, type(None))):
@@ -260,7 +256,8 @@ class JobSpec:
             graph_seed=data.get("graph_seed"),
             k=int(data["k"]),
             method=data["method"],
-            objective=data.get("objective"),
+            # Records stored before the objective defaulted say null.
+            objective=data.get("objective") or "mcut",
             seed=int(data.get("seed", 0)),
             max_iterations=data.get("max_iterations"),
             islands=int(data.get("islands", 1)),

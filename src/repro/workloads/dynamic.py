@@ -145,7 +145,7 @@ def _rebase_annealing(
         "best_assignment": list(assignment),
         "energy": energy,
         "best_energy": energy,
-        "t": float(options.get("tmax", 1.0)),
+        "t": float(options["tmax"]),
         "refusals": 0,
         "steps": 0,
         "finished": False,
@@ -174,6 +174,7 @@ def warm_start_checkpoint(checkpoint: dict, graph: Graph) -> dict:
     :class:`~repro.common.exceptions.ConfigurationError` naming the
     supported set.
     """
+    from repro.api.facade import checkpoint_objective
     from repro.bench.registry import canonical_method
 
     method = canonical_method(checkpoint.get("method", ""))
@@ -189,9 +190,6 @@ def warm_start_checkpoint(checkpoint: dict, graph: Graph) -> dict:
             "(islands=1); island checkpoints are not rebasable"
         )
     options = dict(checkpoint.get("options") or {})
-    objective = (
-        checkpoint.get("objective") or options.get("objective") or "mcut"
-    )
     warm = dict(checkpoint)
     warm["status"] = "running"
     warm["iteration"] = 0
@@ -203,7 +201,8 @@ def warm_start_checkpoint(checkpoint: dict, graph: Graph) -> dict:
         "fingerprint": graph_fingerprint(graph),
     }
     warm["state"] = rebaser(
-        dict(checkpoint["state"]), graph, str(objective), options
+        dict(checkpoint["state"]), graph, checkpoint_objective(checkpoint),
+        options,
     )
     return warm
 

@@ -12,12 +12,17 @@ from repro.annealing import (
 from repro.api import EVENT_INCUMBENT, Budget, SolveRequest, solve
 from repro.common.exceptions import ConfigurationError
 from repro.graph import grid_graph, weighted_caveman_graph
-from repro.partition import McutObjective, Partition
+from repro.partition import McutObjective
 
 
-def run_to_end(partition, **options):
+def start_run(graph, k, seed=None, **options) -> AnnealRun:
+    """The :class:`AnnealRun` stepper of a fresh annealing session."""
+    solver = SimulatedAnnealingPartitioner(k=k, **options)
+    return solver.start(SolveRequest(graph=graph, k=k, seed=seed)).stepper
+
+
+def run_to_end(run):
     """Drive an :class:`AnnealRun` to its end; ``(best, best_energy)``."""
-    run = AnnealRun(partition, **options)
     while run.step():
         pass
     return run.best, run.best_energy
@@ -57,35 +62,32 @@ class TestSchedules:
 
 
 class TestAnneal:
-    def test_improves_caveman(self, rng):
+    def test_improves_caveman(self):
         g = weighted_caveman_graph(4, 6)
-        start = Partition(g, rng.integers(0, 4, 24))
-        obj = McutObjective()
-        before = obj.value(start)
-        best, energy = run_to_end(
-            start, objective=obj, tmax=2.0, max_steps=8000, seed=0
-        )
+        run = start_run(g, 4, tmax=2.0, max_steps=8000, seed=0)
+        before = run.energy
+        best, energy = run_to_end(run)
         assert energy <= before
-        assert energy == pytest.approx(obj.value(best))
+        assert energy == pytest.approx(McutObjective().value(best))
         best.check()
 
-    def test_finds_caveman_optimum(self, rng):
+    def test_finds_caveman_optimum(self):
         g = weighted_caveman_graph(4, 6)
-        start = Partition(g, rng.integers(0, 4, 24))
-        best, _ = run_to_end(start, tmax=2.0, max_steps=30000, seed=1)
+        run = start_run(g, 4, tmax=2.0, max_steps=30000, seed=1)
+        best, _ = run_to_end(run)
         assert best.edge_cut() == pytest.approx(4.0)
 
-    def test_preserves_k(self, rng):
+    def test_preserves_k(self):
         g = grid_graph(6, 6)
-        start = Partition(g, rng.integers(0, 5, 36))
-        best, _ = run_to_end(start, max_steps=3000, seed=0)
+        best, _ = run_to_end(start_run(g, 5, max_steps=3000, seed=0))
         assert best.num_parts == 5
 
-    def test_max_steps_respected(self, rng):
+    def test_max_steps_respected(self):
         g = grid_graph(6, 6)
-        start = Partition(g, rng.integers(0, 3, 36))
         # Must terminate promptly even with huge temperature range.
-        run_to_end(start, tmax=100.0, max_steps=100, seed=0)
+        run = start_run(g, 3, tmax=100.0, max_steps=100, seed=0)
+        run_to_end(run)
+        assert run.steps == 100
 
     def test_time_budget_reheats(self):
         g = grid_graph(6, 6)
@@ -118,11 +120,11 @@ class TestAnneal:
         assert seen == sorted(seen, reverse=True)
         assert len(seen) >= 1
 
-    def test_invalid_temperatures(self, grid_partition):
+    def test_invalid_temperatures(self, grid):
         with pytest.raises(ConfigurationError):
-            run_to_end(grid_partition, tmax=0.0)
+            start_run(grid, 4, tmax=0.0)
         with pytest.raises(ConfigurationError):
-            run_to_end(grid_partition, tmax=1.0, tmin=1.0)
+            start_run(grid, 4, tmax=1.0, tmin=1.0)
 
 
 class TestPartitionerInterface:

@@ -6,13 +6,17 @@ import pytest
 from repro.antcolony import AntColonyPartitioner, AntColonyRun, PheromoneField
 from repro.api import EVENT_INCUMBENT, SolveRequest, solve
 from repro.common.exceptions import ConfigurationError
-from repro.graph import Graph, grid_graph, path_graph, weighted_caveman_graph
-from repro.partition import Partition
+from repro.graph import grid_graph, path_graph, weighted_caveman_graph
 
 
-def run_to_end(graph, k, **options):
+def start_run(graph, k, seed=None, **options) -> AntColonyRun:
+    """The :class:`AntColonyRun` stepper of a fresh ant-colony session."""
+    solver = AntColonyPartitioner(k=k, **options)
+    return solver.start(SolveRequest(graph=graph, k=k, seed=seed)).stepper
+
+
+def run_to_end(run):
     """Drive an :class:`AntColonyRun` to its end; ``(best, best_energy)``."""
-    run = AntColonyRun(graph, k, **options)
     while run.step():
         pass
     return run.best, run.best_energy
@@ -65,36 +69,30 @@ class TestPheromoneField:
 class TestSearch:
     def test_finds_caveman_optimum(self):
         g = weighted_caveman_graph(4, 6)
-        best, energy = run_to_end(g, 4, iterations=60, seed=0)
+        best, energy = run_to_end(start_run(g, 4, iterations=60, seed=0))
         assert best.num_parts == 4
         assert best.edge_cut() == pytest.approx(4.0)
 
     def test_never_worse_than_initial(self):
         g = grid_graph(8, 8)
-        from repro.percolation import PercolationPartitioner
         from repro.partition import McutObjective
 
-        init = PercolationPartitioner(k=4).partition(g, seed=3)
-        obj = McutObjective()
-        initial_energy = obj.value(init)
-        _, energy = run_to_end(
-            g, 4, iterations=30, seed=3, initial_partition=init.copy()
-        )
+        # The session seeds the territories with its percolation partition.
+        run = start_run(g, 4, iterations=30, seed=3)
+        initial_energy = McutObjective().value(run.best)
+        _, energy = run_to_end(run)
         assert energy <= initial_energy + 1e-9
 
     def test_daemon_disabled_still_works(self):
         g = weighted_caveman_graph(3, 5)
-        best, _ = run_to_end(g, 3, iterations=40, seed=1, daemon_moves=0)
+        best, _ = run_to_end(
+            start_run(g, 3, iterations=40, seed=1, daemon_moves=0)
+        )
         assert best.num_parts == 3
-
-    def test_rejects_mismatched_initial(self, grid):
-        init = Partition(grid, np.zeros(64, dtype=np.int64))
-        with pytest.raises(ConfigurationError):
-            AntColonyRun(grid, 4, initial_partition=init)
 
     def test_rejects_bad_k(self, triangle):
         with pytest.raises(ConfigurationError):
-            AntColonyRun(triangle, 99)
+            start_run(triangle, 99)
 
     def test_callback_monotone(self):
         g = weighted_caveman_graph(3, 6)

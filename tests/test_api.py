@@ -104,6 +104,32 @@ class TestCheckpointResume:
         )
         assert resumed_report.objective_value == full_report.objective_value
 
+    @pytest.mark.parametrize(
+        "method", ["ant-colony", "fusion-fission", "simulated-annealing"]
+    )
+    def test_objective_in_legacy_options_still_resumes(self, graph, method):
+        """Checkpoints written while the metaheuristics had an
+        ``objective`` option leave the header ``null`` and carry the
+        criterion in ``options``; they resume to the uninterrupted run
+        of that criterion."""
+        options = FAMILY_OPTIONS[method]
+        full = get_solver(method, 4, **options).start(
+            _request(graph, seed=9, objective="cut")
+        ).run()
+        half = get_solver(method, 4, **options).start(
+            _request(graph, seed=9, objective="cut")
+        )
+        half.run(max_iterations=full.iterations // 2)
+        checkpoint = json.loads(json.dumps(half.checkpoint()))
+        checkpoint["options"]["objective"] = checkpoint["objective"]
+        checkpoint["objective"] = None
+        report = resume(graph, checkpoint).run()
+        assert report.objective == "cut"
+        assert np.array_equal(
+            report.partition.assignment, full.partition.assignment
+        )
+        assert report.objective_value == full.objective_value
+
     def test_checkpoint_of_finished_session_restores_result(self, graph):
         session = get_solver("fusion-fission", 4, max_steps=120).start(
             _request(graph, seed=2)

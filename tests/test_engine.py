@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import solve
 from repro.bench.registry import canonical_method
 from repro.cli import main
 from repro.common.exceptions import ConfigurationError
@@ -69,12 +70,11 @@ class TestSolverSpec:
         assert spec.build_solver(3).max_steps == 7
 
     def test_for_method_budget_plumbing(self):
-        spec = SolverSpec.for_method("ff", objective="cut", time_budget=1.0)
+        spec = SolverSpec.for_method("ff", time_budget=1.0)
         assert spec.time_budget == 1.0
-        assert spec.options == {"objective": "cut"}
-        # Non-metaheuristics ignore budget/objective.
-        spec = SolverSpec.for_method("multilevel", objective="cut",
-                                     time_budget=1.0)
+        assert spec.options == {}
+        # Non-metaheuristics ignore the budget.
+        spec = SolverSpec.for_method("multilevel", time_budget=1.0)
         assert spec.options == {}
         assert spec.time_budget is None
 
@@ -88,6 +88,30 @@ class TestRunnerDeterminism:
         for a, b in zip(results[0].records, results[1].records):
             assert a.objective == b.objective
             assert np.array_equal(a.assignment, b.assignment)
+
+    def test_runs_optimise_the_ranked_objective(self):
+        # Each run optimises the problem's objective, the one the
+        # portfolio ranks it on: it equals a direct solve of that
+        # objective with the task's seed.
+        graph = grid_graph(8, 8)
+        caps = {
+            "simulated-annealing": {"max_steps": 2000},
+            "ant-colony": {"iterations": 6},
+            "fusion-fission": {"max_steps": 200},
+        }
+        specs = [SolverSpec(m, options=o) for m, o in caps.items()]
+        result = PortfolioRunner(specs, seed=3).run(
+            PartitionProblem(graph, k=4, objective="cut")
+        )
+        assert len(result.records) == 3
+        for r in result.records:
+            direct = solve(
+                graph, 4, r.method, objective="cut",
+                seed=np.random.SeedSequence([3, r.spec_index, r.seed_index]),
+                **caps[r.method],
+            )
+            assert np.array_equal(r.assignment, direct.assignment)
+            assert r.objective == direct.objective_value
 
     def test_different_seed_grid(self, problem):
         r1 = PortfolioRunner(FAST_SPECS, num_seeds=3, jobs=1, seed=5).run(problem)

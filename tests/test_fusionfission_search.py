@@ -16,9 +16,15 @@ from repro.graph import grid_graph, weighted_caveman_graph
 from repro.partition import McutObjective
 
 
-def run_to_end(graph, k, energy, **options):
+def start_run(graph, k, seed=None, **options) -> FusionFissionRun:
+    """The :class:`FusionFissionRun` stepper of a fresh fusion–fission
+    session."""
+    solver = FusionFissionPartitioner(k=k, **options)
+    return solver.start(SolveRequest(graph=graph, k=k, seed=seed)).stepper
+
+
+def run_to_end(run):
     """Drive a :class:`FusionFissionRun` to its end; its finalized result."""
-    run = FusionFissionRun(graph, k, energy, **options)
     while run.step():
         pass
     return run.finalize()
@@ -60,13 +66,13 @@ class TestInitialization:
 class TestSearch:
     def test_result_structure(self):
         g = weighted_caveman_graph(4, 6)
-        energy = ScaledEnergy(24, 4)
-        res = run_to_end(g, 4, energy, max_steps=300, seed=0)
+        run = start_run(g, 4, max_steps=300, seed=0)
+        res = run_to_end(run)
         assert res.best_at_target is not None
         assert res.best_at_target.num_parts == 4
         assert res.steps == 300
         assert res.best_raw_at_target == pytest.approx(
-            energy.raw(res.best_at_target)
+            run.energy.raw(res.best_at_target)
         )
         assert 4 in res.best_by_k
         res.best.check()
@@ -74,35 +80,27 @@ class TestSearch:
 
     def test_part_count_stays_bounded(self):
         g = grid_graph(6, 6)
-        energy = ScaledEnergy(36, 4)
-        res = run_to_end(g, 4, energy, max_steps=400, seed=1,
-                         max_parts_factor=2.0)
+        res = run_to_end(
+            start_run(g, 4, max_steps=400, seed=1, max_parts_factor=2.0)
+        )
         assert max(res.best_by_k) <= 8
         assert min(res.best_by_k) >= 2
 
     def test_explores_multiple_k(self):
         g = weighted_caveman_graph(6, 6)
-        energy = ScaledEnergy(36, 6)
-        res = run_to_end(g, 6, energy, max_steps=600, seed=2)
+        res = run_to_end(start_run(g, 6, max_steps=600, seed=2))
         # The method's point: it visits partitions around the target.
         assert len(res.best_by_k) >= 3
 
     def test_restarts_counted(self):
-        from repro.fusionfission.temperature import TemperatureSchedule
-
         g = grid_graph(5, 5)
-        energy = ScaledEnergy(25, 4)
-        res = run_to_end(
-            g, 4, energy,
-            schedule=TemperatureSchedule(nbt=50),
-            max_steps=220, seed=0,
-        )
+        res = run_to_end(start_run(g, 4, nbt=50, max_steps=220, seed=0))
         assert res.restarts >= 3
 
     def test_rejects_bad_target(self):
         g = grid_graph(3, 3)
         with pytest.raises(ConfigurationError):
-            FusionFissionRun(g, 1, ScaledEnergy(9, 2))
+            start_run(g, 1)
 
 
 class TestPartitionerApi:

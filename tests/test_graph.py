@@ -76,11 +76,12 @@ class TestConstruction:
             Graph.from_edges(2, [(-1, 1, 1.0)])
 
     def test_validation_catches_asymmetry(self):
-        indptr = np.array([0, 1, 1])
-        indices = np.array([1])
-        weights = np.array([1.0])
-        with pytest.raises(GraphError):
-            Graph(indptr, indices, weights)
+        for indptr, indices, weights in [
+            ([0, 1, 1], [1], [1.0]),  # an arc without its reverse
+            ([0, 1, 2], [1, 0], [1.0, 1.0 + 1e-9]),  # directions disagree
+        ]:
+            with pytest.raises(GraphError):
+                Graph(np.array(indptr), np.array(indices), np.array(weights))
 
 
 class TestAccessors:

@@ -159,6 +159,11 @@ class TestJobSpec:
             ring_payload(options={"beta": 2, "alpha": 1})
         )
         assert cache_key("fp", a) == cache_key("fp", b)
+        # An omitted objective is the default one.
+        plain = {"instance": "grid-16", "k": 4, "method": "sa"}
+        assert cache_key("fp", JobSpec.from_payload(plain)) == cache_key(
+            "fp", JobSpec.from_payload(dict(plain, objective="mcut"))
+        )
 
     def test_cache_key_ignores_identity_but_not_solve_fields(self):
         base = JobSpec.from_payload(ring_payload())
