@@ -456,6 +456,8 @@ class SolveSession:
             "migration_interval": self.request.migration_interval,
             "rng": encode_rng(self.rng),
             "state": self.stepper.export_state(),
+            # Counts the checkpoint event emitted just below.
+            "events": self.events_emitted + 1,
         }
         self._emit(EVENT_CHECKPOINT)
         return payload
@@ -515,6 +517,8 @@ class SolveSession:
             self.iteration = int(checkpoint["iteration"])
             self.status = str(checkpoint["status"])
             self._elapsed_offset = float(checkpoint.get("elapsed", 0.0))
+            # Checkpoints written before events were counted start at 0.
+            self.events_emitted = int(checkpoint.get("events", 0))
             self.phase = str(checkpoint.get("phase", "setup"))
             self.stepper = self._build_stepper(checkpoint["state"])
         except CheckpointError:

@@ -747,8 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="TCP port (0 = ephemeral; the bound port is "
                          "advertised in <data-dir>/server.json)")
     sv.add_argument("--workers", type=int, default=2,
-                    help="concurrent solve slices (queue depth is "
-                         "unbounded)")
+                    help="slice worker processes, i.e. concurrent solve "
+                         "slices (queue depth is unbounded)")
     sv.add_argument("--slice", default="250ms",
                     help="wall-clock budget of one solve slice, e.g. "
                          "'250ms', '2s'; 'none' disables the time slice")

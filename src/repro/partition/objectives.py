@@ -12,7 +12,11 @@
 Degenerate denominators: a part with no incident edges contributes 0 to
 Ncut; a part with no *internal* edges but a positive cut contributes ``inf``
 to Mcut (moving away from such parts is therefore always favourable, which
-matches the physical analogy: a lone nucleon is maximally unstable).
+matches the physical analogy: a lone nucleon is maximally unstable).  A
+cut is never negative; a negative ``cut`` can only be a rounding residue of
+the incremental bookkeeping (``1 + 4.6e-110 - 1`` leaves 0, and the next
+move subtracts the tiny weight again), so the ratio terms count it as 0 —
+else a residue of ``-w`` over ``W(A) = w`` would add ``-1`` to Mcut.
 
 Every objective implements ``delta_move(partition, v, target)`` — the exact
 change in objective value if ``v`` moved to ``target`` — used by the
@@ -40,8 +44,11 @@ __all__ = [
 
 
 def _safe_ratio(cut: np.ndarray | float, denom: np.ndarray | float):
-    """``cut/denom`` with the 0/0 -> 0 and x/0 -> inf conventions."""
-    cut = np.asarray(cut, dtype=np.float64)
+    """``cut/denom`` with the 0/0 -> 0 and x/0 -> inf conventions.
+
+    A negative ``cut`` (a bookkeeping residue) counts as 0.
+    """
+    cut = np.maximum(np.asarray(cut, dtype=np.float64), 0.0)
     denom = np.asarray(denom, dtype=np.float64)
     with np.errstate(over="ignore"):
         # Overflow to inf on a denormal-tiny denominator is the same
@@ -170,9 +177,11 @@ class NcutObjective(Objective):
         return _safe_ratio(partition.cut, partition.cut + partition.internal)
 
     def _term(self, cut: float, internal: float) -> float:
+        if cut <= 0.0:
+            return 0.0
         denom = cut + internal
         if denom <= 0.0:
-            return 0.0 if cut <= 0.0 else float("inf")
+            return float("inf")
         return cut / denom
 
 
@@ -188,8 +197,10 @@ class McutObjective(Objective):
         return _safe_ratio(partition.cut, partition.internal)
 
     def _term(self, cut: float, internal: float) -> float:
+        if cut <= 0.0:
+            return 0.0
         if internal <= 0.0:
-            return 0.0 if cut <= 0.0 else float("inf")
+            return float("inf")
         return cut / internal
 
 

@@ -58,9 +58,10 @@ def percolation_bonds(
     mask:
         Optional boolean ``(n,)`` restriction; vertices outside the mask
         neither receive nor transmit liquid (used when cutting a single
-        atom during fission).  A masked flood sweeps only the arcs
-        between masked vertices; the result is the same bits as a sweep
-        over the whole graph.
+        atom during fission).  Every flood, masked or not, sweeps only
+        the arcs between allowed vertices (:func:`_flood_atom`); the
+        result is the same bits as the all-arcs loop kept in
+        :mod:`repro.percolation.reference`.
     max_sweeps:
         Bellman–Ford sweep cap (the half-per-hop discount converges
         geometrically; ~40 sweeps reach 1e-12).
@@ -95,10 +96,6 @@ def percolation_bonds(
     allowed = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, bool)
     if not allowed[centers].all():
         raise ConfigurationError("percolation centres must satisfy the mask")
-    # Whole-graph floods keep the all-arcs loop: speeding them up slowed
-    # the service's other slices ("Percolation floods", docs/performance.md).
-    if mask is None:
-        return _flood_all_arcs(graph, centers, allowed, max_sweeps, tolerance)
     return _flood_atom(graph, centers, allowed, max_sweeps, tolerance)
 
 
@@ -108,51 +105,6 @@ def _anchor(graph: Graph) -> float:
     return 2.0 * max(w_max, 1e-12)
 
 
-def _flood_all_arcs(
-    graph: Graph,
-    centers: np.ndarray,
-    allowed: np.ndarray,
-    max_sweeps: int,
-    tolerance: float,
-) -> np.ndarray:
-    """Bellman–Ford sweeps over every arc of the graph, masked arcs skipped.
-
-    The kernel of whole-graph floods, and the reference the masked floods
-    of :func:`_flood_atom` are tested against bit for bit.
-    """
-    n = graph.num_vertices
-    k = centers.shape[0]
-    anchor = _anchor(graph)
-    # -inf marks "liquid not yet arrived"; it propagates harmlessly through
-    # the (b + w)/2 update, so bonds only ever flow outward from centres.
-    bonds = np.full((n, k), -np.inf)
-    bonds[centers, np.arange(k)] = anchor
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    valid_arc = allowed[owner] & allowed[graph.indices]
-    src = owner[valid_arc]
-    dst = graph.indices[valid_arc]
-    wt = graph.weights[valid_arc]
-    for _ in range(max_sweeps):
-        # candidate[dst] = (bonds[src] + w) / 2, maximised per dst.
-        candidate = (bonds[src] + wt[:, None]) * 0.5
-        new_bonds = bonds.copy()
-        np.maximum.at(new_bonds, dst, candidate)
-        # Centres keep their anchor bond to their own colour regardless.
-        new_bonds[centers, np.arange(k)] = anchor
-        old_finite = np.isfinite(bonds)
-        if not (np.isfinite(new_bonds) & ~old_finite).any():
-            delta = np.where(old_finite, new_bonds, 0.0) - np.where(
-                old_finite, bonds, 0.0
-            )
-            if float(np.abs(delta).max(initial=0.0)) <= tolerance:
-                bonds = new_bonds
-                break
-        bonds = new_bonds
-    bonds = np.where(np.isfinite(bonds), bonds, 0.0)
-    bonds[~allowed] = 0.0
-    return bonds
-
-
 def _flood_atom(
     graph: Graph,
     centers: np.ndarray,
@@ -160,12 +112,14 @@ def _flood_atom(
     max_sweeps: int,
     tolerance: float,
 ) -> np.ndarray:
-    """:func:`_flood_all_arcs` swept over the mask's own arcs only.
+    """The all-arcs reference loop swept over the mask's own arcs only.
 
-    A fission flood stays inside one atom, so the arcs between masked
-    vertices are gathered once, in local ids and grouped by receiving
-    vertex, and each sweep maximises every group with one
-    ``np.maximum.reduceat``.  Every sweep gives the reference's bits:
+    A flood stays inside its mask (one atom in fission, the whole graph
+    otherwise), so the arcs between masked vertices are gathered once,
+    in local ids and grouped by receiving vertex, and each sweep
+    maximises every group with one ``np.maximum.reduceat``.  Every sweep
+    gives the bits of
+    :func:`~repro.percolation.reference.percolation_bonds_reference`:
     each arc's ``(b + w) * 0.5`` is computed as before, ``max`` does not
     depend on the order of its inputs, and bonds never decrease, so
     ``new - old > tolerance`` somewhere is exactly the reference's "an

@@ -312,9 +312,6 @@ class Job:
     checkpoint: dict | None = None
     created: float = field(default_factory=time.time)
     cancel_requested: bool = False
-    #: Live session of the in-flight slice (worker thread); only ever
-    #: poked by ``cancel()``, which is why it is not persisted.
-    live_session: Any = None
 
     @property
     def terminal(self) -> bool:

@@ -6,7 +6,9 @@ HTTP front end (:mod:`repro.service.http`) and the ``repro serve`` /
 
 * a :class:`~repro.service.scheduler.FairShareScheduler` deciding which
   tenant's job gets the next solve slice,
-* a bounded worker pool executing slices (each slice is
+* a :class:`~repro.graph.pool.GraphPool` of worker processes executing
+  slices (each slice is :func:`run_slice`: resume the job's last
+  checkpoint on its graph, both shipped with the call →
   ``SolveSession.run(max_seconds/max_iterations)`` → cooperative pause →
   ``checkpoint()``),
 * a :class:`~repro.service.store.JobStore` that atomically persists the
@@ -35,8 +37,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,7 @@ from repro.common.exceptions import (
 )
 from repro.engine.faults import (
     FaultInjector,
+    FaultSpec,
     corrupt_assignment,
     inject_before_solve,
 )
@@ -55,6 +58,7 @@ from repro.engine.retry import RetryPolicy
 from repro.engine.runner import validate_assignment
 from repro.graph.fingerprint import graph_fingerprint
 from repro.graph.graph import Graph
+from repro.graph.pool import GraphPool, PoolWorker
 from repro.service.jobs import (
     JOB_CANCELLED,
     JOB_DONE,
@@ -69,7 +73,9 @@ from repro.service.jobs import (
 from repro.service.scheduler import FairShareScheduler
 from repro.service.store import JobStore, ResultCache
 
-__all__ = ["ServiceConfig", "SolveService", "STATS_SCHEMA"]
+__all__ = [
+    "ServiceConfig", "SliceTask", "SolveService", "STATS_SCHEMA", "run_slice",
+]
 
 STATS_SCHEMA = "repro-service-stats/v1"
 
@@ -83,7 +89,7 @@ class ServiceConfig:
     data_dir:
         Root of the durable state (jobs, events, cache, server.json).
     workers:
-        Bound of the slice worker pool — how many jobs solve
+        Number of slice worker processes — how many jobs solve
         *concurrently*; thousands more can be queued.
     slice_seconds:
         Wall-clock budget of one solve slice; ``None`` disables the
@@ -131,10 +137,10 @@ class SolveService:
     """Multi-tenant solve server core (front-end-agnostic).
 
     All bookkeeping (scheduler, job table, persistence) happens on the
-    event-loop thread; worker threads only ever touch their own live
-    session and return a plain outcome dict.  ``submit``/``status``/
-    ``cancel``/``stats`` are synchronous and safe to call from HTTP
-    handlers and tests alike.
+    event-loop thread; worker processes only ever run :func:`run_slice`
+    on a snapshot of one job and return a plain outcome dict.
+    ``submit``/``status``/``cancel``/``stats`` are synchronous and safe
+    to call from HTTP handlers and tests alike.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -149,7 +155,8 @@ class SolveService:
         self._graphs: dict[str, Graph] = {}
         self._instance_graphs: dict[str, str] = {}
         self._seq = 0
-        self._executor: ThreadPoolExecutor | None = None
+        self._pool: GraphPool | None = None
+        self._pool_generation = 0
         self._workers: list[asyncio.Task] = []
         self._wake: asyncio.Event | None = None
         self._stopping = False
@@ -282,7 +289,8 @@ class SolveService:
 
     def cancel(self, job_id: str) -> dict:
         """Cooperatively cancel a job (queued: immediate; running: at
-        the next iteration boundary of its current slice)."""
+        the next iteration boundary of its current slice, where the
+        slice's observer finds the job's cancel marker)."""
         job = self.get_job(job_id)
         if job.terminal:
             return job.as_dict()
@@ -294,9 +302,7 @@ class SolveService:
             self.store.save(job)
             self._release_graph(job.fingerprint)
         else:
-            session = getattr(job, "live_session", None)
-            if session is not None:
-                session.cancel()
+            self.store.cancel_path(job.id).touch()
         return job.as_dict()
 
     def events_path(self, job_id: str) -> Path:
@@ -336,15 +342,16 @@ class SolveService:
             self._wake.set()
 
     async def start(self) -> None:
-        """Spawn the worker pool (idempotent)."""
+        """Start the worker processes and the slice pumps (idempotent).
+
+        The workers fork here, before the HTTP front end starts any
+        thread, and nothing waits for them to come up.
+        """
         if self._workers:
             return
         self._stopping = False
         self._wake = asyncio.Event()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers,
-            thread_name_prefix="repro-slice",
-        )
+        self._pool = GraphPool(None, self.config.workers)
         self._workers = [
             asyncio.create_task(self._worker_loop())
             for _ in range(self.config.workers)
@@ -364,9 +371,9 @@ class SolveService:
             except (asyncio.CancelledError, Exception):
                 pass
         self._workers = []
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
 
     async def drain(self, timeout: float | None = None) -> None:
         """Run until every submitted job is terminal (tests/CLI helper)."""
@@ -396,145 +403,61 @@ class SolveService:
             if job.terminal:  # cancelled while queued, already final
                 continue
             job.state = JOB_RUNNING
-            loop = asyncio.get_running_loop()
-            outcome = await loop.run_in_executor(
-                self._executor, self._run_slice_sync, job
-            )
-            self._apply_outcome(job, outcome)
+            self._apply_outcome(job, await self._run_slice(job))
 
-    # -- slice execution (worker thread) -------------------------------------
-    def _run_slice_sync(self, job: Job) -> dict:
-        """Execute one budgeted slice of ``job``; never raises.
+    async def _run_slice(self, job: Job) -> dict:
+        """Run one slice of ``job`` on a worker process; never raises.
 
-        Runs on a pool thread.  Touches only the job's spec/checkpoint
-        (stable while the job is running) and its own session; all state
-        transitions happen back on the loop in :meth:`_apply_outcome`.
+        A worker's death breaks the whole pool: it is rebuilt once, and
+        every slice that was in flight on it resolves as a ``crash`` —
+        the retry policy resumes each from its last durable checkpoint.
         """
-        from repro.api import JsonlEventWriter, resume
-
-        writer = None
+        generation = self._pool_generation
         try:
-            fault = None
-            if self.config.faults is not None:
-                fault = self.config.faults.fault_for(job.seq, 0, job.attempts)
-            if fault is not None and fault.kind != "corrupt":
-                inject_before_solve(
-                    fault, in_pool=False,
-                    timeout=self.config.slice_seconds or 1.0,
-                )
-            graph = self._graphs.get(job.fingerprint or "")
-            if graph is None:
-                graph, _ = self._graph_for(job)
-            session = (
-                resume(graph, job.checkpoint)
-                if job.checkpoint is not None
-                else self._fresh_session(job, graph)
-            )
-            job.live_session = session
-            if job.cancel_requested:
-                session.cancel()
-            writer = JsonlEventWriter(
-                self.store.events_path(job.id),
-                fsync=self.config.event_fsync,
-                append=True,
-            )
-            session.subscribe(writer)
-            report = session.run(
-                max_seconds=self._slice_seconds_target(session),
-                max_iterations=self._slice_iterations_target(job, session),
-            )
-            outcome = self._outcome_from_report(job, session, report, fault)
-            if outcome["kind"] == "paused":
-                # Checkpoint before the writer closes so the checkpoint
-                # event lands in the job's stream too.
-                outcome["checkpoint"] = session.checkpoint()
-            return outcome
+            args = (self._slice_task(job), self._job_graph(job))
+            try:
+                future = self._pool.submit(run_slice, *args)
+            except BrokenProcessPool:  # broke before this slice: rerun it
+                self._heal_pool(generation)
+                generation = self._pool_generation
+                future = self._pool.submit(run_slice, *args)
+            return await asyncio.wrap_future(future)
         except Exception as exc:  # noqa: BLE001 - isolate job failures
-            return {
-                "kind": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": classify_error(exc),
-            }
-        finally:
-            job.live_session = None
-            if writer is not None:
-                writer.close()
+            if isinstance(exc, BrokenProcessPool):
+                self._heal_pool(generation)
+            return _error_outcome(exc)
 
-    def _fresh_session(self, job: Job, graph: Graph):
-        from repro.api import get_solver
+    def _heal_pool(self, generation: int) -> None:
+        """Rebuild the pool that ``generation`` names, if not yet done."""
+        if generation == self._pool_generation and self._pool is not None:
+            self._pool.rebuild()
+            self._pool_generation += 1
 
-        spec = job.spec
-        solver = get_solver(spec.method, spec.k, **dict(spec.options))
-        return solver.start(spec.request(graph))
+    def _run_slice_sync(self, job: Job) -> dict:
+        """Run one slice of ``job`` in this process (same outcome)."""
+        return run_slice(None, self._slice_task(job), self._job_graph(job))
 
-    def _slice_seconds_target(self, session) -> float | None:
-        # run() treats max_seconds as session-total; grant each slice a
-        # fresh window on top of the cumulative solve time.
-        if self.config.slice_seconds is None:
-            return None
-        return session.elapsed() + self.config.slice_seconds
+    def _job_graph(self, job: Job) -> Graph:
+        graph = self._graphs.get(job.fingerprint or "")
+        if graph is None:
+            graph, _ = self._graph_for(job)
+        return graph
 
-    def _slice_iterations_target(self, job: Job, session) -> int | None:
-        targets = []
-        if self.config.slice_iterations is not None:
-            targets.append(session.iteration + self.config.slice_iterations)
-        if job.spec.max_iterations is not None:
-            targets.append(job.spec.max_iterations)
-        return min(targets) if targets else None
-
-    def _outcome_from_report(self, job: Job, session, report, fault) -> dict:
-        from repro.api import STATUS_CANCELLED, STATUS_DONE
-
-        base = {
-            "iterations": session.iteration,
-            "seconds": session.elapsed(),
-        }
-        if report.status == STATUS_CANCELLED:
-            return {"kind": "cancelled", **base}
-        budget_done = (
-            job.spec.max_iterations is not None
-            and session.iteration >= job.spec.max_iterations
+    def _slice_task(self, job: Job) -> SliceTask:
+        fault = None
+        if self.config.faults is not None:
+            fault = self.config.faults.fault_for(job.seq, 0, job.attempts)
+        return SliceTask(
+            # The graph travels as an argument; its edge list need not.
+            spec=replace(job.spec, graph_data=None),
+            checkpoint=job.checkpoint,
+            fault=fault,
+            events_path=self.store.events_path(job.id),
+            cancel_path=self.store.cancel_path(job.id),
+            slice_seconds=self.config.slice_seconds,
+            slice_iterations=self.config.slice_iterations,
+            event_fsync=self.config.event_fsync,
         )
-        if report.status != STATUS_DONE and not budget_done:
-            return {"kind": "paused", **base}
-        # Terminal: finished naturally, or exhausted the job's own
-        # iteration budget (deterministic, so still cacheable).
-        if report.partition is None:
-            return {
-                "kind": "error",
-                "error": (
-                    f"iteration budget ({job.spec.max_iterations}) expired "
-                    "before the solver produced any partition"
-                ),
-                "error_kind": "config",
-                **base,
-            }
-        assignment = np.asarray(
-            report.partition.assignment, dtype=np.int64
-        ).copy()
-        note = None
-        if fault is not None and fault.kind == "corrupt":
-            assignment = corrupt_assignment(assignment, job.spec.k)
-            note = f"injected fault: {fault.describe()}"
-        try:
-            validate_assignment(
-                assignment, session.request.graph.num_vertices, job.spec.k,
-                label=job.spec.method,
-            )
-        except Exception as exc:  # ResultInvalid
-            outcome = {
-                "kind": "error",
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": classify_error(exc),
-                **base,
-            }
-            if note:
-                outcome["note"] = note
-            return outcome
-        result = report.as_dict(include_assignment=True)
-        if budget_done and report.status != STATUS_DONE:
-            result["status"] = "paused-budget"
-        return {"kind": "done", "result": result, **base}
 
     # -- state transitions (loop thread) -------------------------------------
     def _apply_outcome(self, job: Job, outcome: dict) -> None:
@@ -570,6 +493,7 @@ class SolveService:
         self.store.save(job)
         if job.terminal:
             self._release_graph(job.fingerprint)
+            self.store.cancel_path(job.id).unlink(missing_ok=True)
 
     def _apply_error(self, job: Job, outcome: dict) -> None:
         error = outcome.get("error", "unknown error")
@@ -598,3 +522,140 @@ class SolveService:
             return
         self.scheduler.enqueue(job.spec.tenant, job.id)
         self._notify()
+
+
+# -- slice execution (worker process) -----------------------------------------
+@dataclass(frozen=True)
+class SliceTask:
+    """A picklable snapshot of everything one slice of a job needs."""
+
+    spec: JobSpec
+    checkpoint: dict | None
+    fault: FaultSpec | None
+    events_path: Path
+    cancel_path: Path
+    slice_seconds: float | None
+    slice_iterations: int | None
+    event_fsync: bool
+
+
+def run_slice(
+    _worker: PoolWorker | None, task: SliceTask, graph: Graph
+) -> dict:
+    """Execute one budgeted slice of a job on ``graph``; never raises.
+
+    Runs in a slice worker process (``_worker`` is its pool handle,
+    unused: the service's pool holds no graph) or, through
+    :meth:`SolveService._run_slice_sync`, in the caller's.  It touches
+    only its own session, the job's event stream and cancel marker;
+    every state transition happens back on the event loop in
+    :meth:`SolveService._apply_outcome`.
+    """
+    from repro.api import JsonlEventWriter, get_solver, resume
+
+    writer = None
+    try:
+        fault = task.fault
+        if fault is not None and fault.kind != "corrupt":
+            inject_before_solve(
+                fault, in_pool=False, timeout=task.slice_seconds or 1.0,
+            )
+        spec = task.spec
+        if task.checkpoint is not None:
+            session = resume(graph, task.checkpoint)
+        else:
+            solver = get_solver(spec.method, spec.k, **dict(spec.options))
+            session = solver.start(spec.request(graph))
+        writer = JsonlEventWriter(
+            task.events_path, fsync=task.event_fsync, append=True,
+        )
+        session.subscribe(writer)
+
+        def watch_cancel(event) -> None:
+            # SolveService.cancel() leaves the marker: one stat per event,
+            # the first of them the run's ``start``.
+            if task.cancel_path.exists():
+                session.cancel()
+
+        session.subscribe(watch_cancel)
+        # run() treats its budgets as session totals; grant each slice a
+        # fresh window on top of the cumulative solve time and iterations.
+        max_seconds = None
+        if task.slice_seconds is not None:
+            max_seconds = session.elapsed() + task.slice_seconds
+        targets = [] if spec.max_iterations is None else [spec.max_iterations]
+        if task.slice_iterations is not None:
+            targets.append(session.iteration + task.slice_iterations)
+        report = session.run(
+            max_seconds=max_seconds, max_iterations=min(targets, default=None),
+        )
+        outcome = _slice_outcome(task, session, report)
+        if outcome["kind"] == "paused":
+            # Checkpoint before the writer closes so the checkpoint
+            # event lands in the job's stream too.
+            outcome["checkpoint"] = session.checkpoint()
+        return outcome
+    except Exception as exc:  # noqa: BLE001 - isolate job failures
+        return _error_outcome(exc)
+    finally:
+        if writer is not None:
+            writer.close()
+
+
+def _error_outcome(exc: Exception) -> dict:
+    return {
+        "kind": "error",
+        "error": f"{type(exc).__name__}: {exc}",
+        "error_kind": classify_error(exc),
+    }
+
+
+def _slice_outcome(task: SliceTask, session, report) -> dict:
+    from repro.api import STATUS_CANCELLED, STATUS_DONE
+
+    spec = task.spec
+    base = {
+        "iterations": session.iteration,
+        "seconds": session.elapsed(),
+    }
+    if report.status == STATUS_CANCELLED:
+        return {"kind": "cancelled", **base}
+    budget_done = (
+        spec.max_iterations is not None
+        and session.iteration >= spec.max_iterations
+    )
+    if report.status != STATUS_DONE and not budget_done:
+        return {"kind": "paused", **base}
+    # Terminal: finished naturally, or exhausted the job's own
+    # iteration budget (deterministic, so still cacheable).
+    if report.partition is None:
+        return {
+            "kind": "error",
+            "error": (
+                f"iteration budget ({spec.max_iterations}) expired "
+                "before the solver produced any partition"
+            ),
+            "error_kind": "config",
+            **base,
+        }
+    assignment = np.asarray(
+        report.partition.assignment, dtype=np.int64
+    ).copy()
+    note = None
+    if task.fault is not None and task.fault.kind == "corrupt":
+        assignment = corrupt_assignment(assignment, spec.k)
+        note = f"injected fault: {task.fault.describe()}"
+    try:
+        validate_assignment(
+            assignment, session.request.graph.num_vertices, spec.k,
+            label=spec.method,
+        )
+    except Exception as exc:  # ResultInvalid
+        outcome = {**_error_outcome(exc), **base}
+        if note:
+            outcome["note"] = note
+        return outcome
+    result = report.as_dict(include_assignment=True)
+    if budget_done and report.status != STATUS_DONE:
+        result["status"] = "paused-budget"
+    return {"kind": "done", "result": result, **base}

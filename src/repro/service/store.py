@@ -6,6 +6,7 @@ directory::
     <data_dir>/
       server.json          # advertised address of the live server
       jobs/<job_id>.json   # full job record incl. last checkpoint
+      jobs/<job_id>.cancel # marker: cancel the running job's slice
       events/<job_id>.jsonl# per-job solve-event stream (SSE source)
       cache/<key>.json     # result cache, keyed by (fingerprint, request)
 
@@ -50,6 +51,9 @@ class JobStore:
 
     def events_path(self, job_id: str) -> Path:
         return self.events_dir / f"{job_id}.jsonl"
+
+    def cancel_path(self, job_id: str) -> Path:
+        return self.jobs_dir / f"{job_id}.cancel"
 
     def save(self, job: Job) -> None:
         """Durably persist the full job record (checkpoint included)."""

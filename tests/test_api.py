@@ -130,6 +130,27 @@ class TestCheckpointResume:
         )
         assert report.objective_value == full.objective_value
 
+    @pytest.mark.parametrize(
+        "method", ["ant-colony", "fusion-fission", "simulated-annealing"]
+    )
+    def test_events_count_across_resumes(self, graph, method):
+        """A run sliced every 2 iterations through JSON reports the
+        events its first session emitted before anyone could subscribe,
+        plus every event its subscribers saw."""
+        session = get_solver(method, 4, **FAMILY_OPTIONS[method]).start(
+            _request(graph, seed=3, objective="ncut")
+        )
+        seen = [session.events_emitted]
+        while True:
+            session.subscribe(lambda event: seen.append(1))
+            report = session.run(max_iterations=session.iteration + 2)
+            if report.status == "done":
+                break
+            checkpoint = json.loads(json.dumps(session.checkpoint()))
+            session = resume(graph, checkpoint)
+        assert report.iterations > 2
+        assert report.events == sum(seen)
+
     def test_checkpoint_of_finished_session_restores_result(self, graph):
         session = get_solver("fusion-fission", 4, max_steps=120).start(
             _request(graph, seed=2)

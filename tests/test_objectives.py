@@ -55,6 +55,20 @@ class TestValues:
         p = Partition(g, [0, 1, 1])
         assert McutObjective().value(p) == np.inf
 
+    def test_negative_cut_residue_counts_as_zero(self):
+        # Part 1's cut sums 1.0 + 1e-110 == 1.0; vertex 3 leaving takes
+        # the 1.0 back (cut 0.0, true 1e-110), and vertex 2 joining
+        # subtracts its 1e-110 edge again: cut -1e-110 over W = 1e-110.
+        g = Graph.from_edges(5, [(0, 3, 1.0), (1, 2, 1e-110)])
+        p = Partition(g, [0, 1, 2, 1, 2])
+        p.move(3, 0)
+        p.move(2, 1)
+        assert p.cut[1] < 0.0 < p.internal[1]
+        # The ratio objectives would read -1e-110 / 1e-110 = -1 for Mcut.
+        for obj in (NcutObjective(), McutObjective()):
+            assert obj.value(p) == 0.0
+            assert (obj.part_terms(p) >= 0.0).all()
+
     def test_ncut_bounded_by_k(self, grid_partition):
         # Each Ncut term is cut/(cut+W) <= 1.
         assert NcutObjective().value(grid_partition) <= grid_partition.num_parts

@@ -12,6 +12,7 @@ from repro.percolation import (
     percolation_bonds,
     percolation_partition,
 )
+from repro.percolation.reference import percolation_bonds_reference
 
 
 class TestBonds:
@@ -147,28 +148,19 @@ class TestSpreadCenters:
             choose_spread_centers(path_graph(5), 9)
 
 
-def _reference_bonds(graph, centers, mask, max_sweeps=100, tolerance=1e-12):
-    """The whole-graph sweep loop run with ``mask``: what a masked flood
-    must reproduce bit for bit."""
-    from repro.percolation.percolation import _flood_all_arcs
-
-    allowed = (np.ones(graph.num_vertices, dtype=bool) if mask is None
-               else np.asarray(mask, dtype=bool))
-    return _flood_all_arcs(graph, np.asarray(centers, dtype=np.int64),
-                           allowed, max_sweeps, tolerance)
-
-
 def _random_centres(rng, mask, k):
     return rng.choice(np.flatnonzero(mask), k, replace=False)
 
 
 class TestAtomKernel:
-    """Masked floods sweep only the mask's own arcs; every returned bit
-    equals the whole-graph loop run with the same mask."""
+    """Floods sweep only the mask's own arcs; every returned bit equals
+    the whole-graph loop run with the same mask."""
 
     def _assert_identical(self, graph, centers, mask):
         got = percolation_bonds(graph, centers, mask=mask)
-        assert np.array_equal(got, _reference_bonds(graph, centers, mask))
+        assert np.array_equal(
+            got, percolation_bonds_reference(graph, centers, mask)
+        )
         return got
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -209,8 +201,9 @@ class TestAtomKernel:
         g = build_instance("geometric-150")
         mask = np.ones(g.num_vertices, dtype=bool)
         centers = _random_centres(np.random.default_rng(7), mask, k)
-        bonds = self._assert_identical(g, centers, mask)
-        assert np.array_equal(bonds, percolation_bonds(g, centers))
+        self._assert_identical(g, centers, mask)
+        assert np.array_equal(percolation_bonds(g, centers),
+                              percolation_bonds_reference(g, centers))
 
     def test_sweep_cap_and_tolerance_are_honoured(self):
         g = grid_graph(6, 6)
@@ -221,31 +214,56 @@ class TestAtomKernel:
             got = percolation_bonds(g, centers, mask=mask,
                                     max_sweeps=max_sweeps,
                                     tolerance=tolerance)
-            want = _reference_bonds(g, centers, mask, max_sweeps, tolerance)
+            want = percolation_bonds_reference(g, centers, mask, max_sweeps,
+                                               tolerance)
             assert np.array_equal(got, want)
 
-    def test_every_flood_of_an_ff_solve(self, monkeypatch):
-        """Hook the module-level name fission calls through, so every
-        flood of a bounded fusion–fission solve on ``atc-core`` is
-        compared with the reference."""
+    @staticmethod
+    def _check_every_flood(monkeypatch):
+        """Hook the module-level name every flood goes through; compare
+        each flood with the reference and record whether it was masked."""
         import repro.percolation.percolation as perc
-        from repro.api import solve
-        from repro.workloads import build_instance
 
-        graph = build_instance("atc-core")
         original = perc.percolation_bonds
         masked = []
 
         def checked(graph, centers, mask=None, max_sweeps=100,
                     tolerance=1e-12):
             got = original(graph, centers, mask, max_sweeps, tolerance)
-            want = _reference_bonds(graph, centers, mask, max_sweeps,
-                                    tolerance)
+            want = percolation_bonds_reference(graph, centers, mask,
+                                               max_sweeps, tolerance)
             assert np.array_equal(got, want)
             masked.append(mask is not None)
             return got
 
         monkeypatch.setattr(perc, "percolation_bonds", checked)
+        return masked
+
+    def test_every_flood_of_an_ff_solve(self, monkeypatch):
+        """Every flood of a bounded fusion–fission solve on ``atc-core``
+        is a masked fission flood, compared with the reference."""
+        from repro.api import solve
+        from repro.workloads import build_instance
+
+        graph = build_instance("atc-core")
+        masked = self._check_every_flood(monkeypatch)
         report = solve(graph, 32, "fusion-fission", seed=0, max_steps=150)
         assert report.partition.num_parts == 32
         assert len(masked) > 100 and all(masked)
+
+    @pytest.mark.parametrize("method, instance, k", [
+        ("simulated-annealing", "atc-core", 32),
+        ("ant-colony", "powerlaw-2000", 8),
+    ])
+    def test_every_flood_of_a_session_start(self, monkeypatch, method,
+                                            instance, k):
+        """SA and ACO sessions start from whole-graph floods (the spread
+        centres and the percolation partition); each matches the
+        reference."""
+        from repro.api import SolveRequest, get_solver
+        from repro.workloads import build_instance
+
+        graph = build_instance(instance)
+        masked = self._check_every_flood(monkeypatch)
+        get_solver(method, k).start(SolveRequest(graph=graph, k=k, seed=3))
+        assert len(masked) >= k and not any(masked)

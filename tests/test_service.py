@@ -4,6 +4,10 @@ faults, and crash recovery (all in-process; the HTTP plane is covered by
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -428,6 +432,110 @@ class TestServiceFaults:
         job = service.get_job(card["id"])
         assert job.state == "failed"
         assert job.error_kind == "crash"
+
+
+# ---------------------------------------------------------------------------
+# Slice workers: each slice runs in a worker process
+# ---------------------------------------------------------------------------
+#: One fusion–fission job of ~34 ms per iteration on grid-16.
+GRID_FF = {"instance": "grid-16", "k": 4, "method": "fusion-fission",
+           "seed": 5}
+
+
+def whole_job_config(tmp_path, **overrides):
+    """One worker, and every job is one unbounded slice."""
+    return iter_sliced_config(tmp_path, workers=1, slice_iterations=None,
+                              **overrides)
+
+
+async def wait_until(condition, timeout=60.0):
+    """Poll ``condition`` from the event loop until it holds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.005)
+
+
+async def slice_started(service, job_id):
+    """Wait until the job's slice has emitted its ``start`` event."""
+    events = service.events_path(job_id)
+    await wait_until(lambda: events.exists() and events.read_text())
+
+
+class TestSliceWorkers:
+    def kill_worker_mid_slice(self, tmp_path, retry):
+        """Submit a job, SIGKILL the one worker while its slice runs,
+        then submit a second job; return both jobs once terminal."""
+        from repro.engine.retry import RetryPolicy
+
+        service = SolveService(whole_job_config(
+            tmp_path, retry=RetryPolicy(max_attempts=retry, backoff=0.0),
+        ))
+
+        async def scenario():
+            await service.start()
+            try:
+                card = service.submit(dict(GRID_FF, max_iterations=20))
+                await slice_started(service, card["id"])
+                [worker] = multiprocessing.active_children()
+                os.kill(worker.pid, signal.SIGKILL)
+                await wait_until(lambda: service.get_job(card["id"]).terminal)
+                after = service.submit(ring_payload())
+                await service.drain(timeout=120)
+            finally:
+                await service.stop()
+            return service.get_job(card["id"]), service.get_job(after["id"])
+
+        return asyncio.run(scenario())
+
+    def test_worker_death_retries_to_the_uninterrupted_result(
+        self, tmp_path
+    ):
+        from repro.workloads import build_instance
+
+        direct = solve(build_instance("grid-16"), 4, "fusion-fission",
+                       seed=5, budget=Budget(max_iterations=20))
+        job, after = self.kill_worker_mid_slice(tmp_path, retry=2)
+        assert job.state == "done"
+        assert job.attempts == 2
+        assert any("[crash]" in line for line in job.fault_trace)
+        assert job.result["assignment"] == [int(p) for p in direct.assignment]
+        assert after.state == "done"
+
+    def test_worker_death_without_retries_fails_as_crash(self, tmp_path):
+        job, after = self.kill_worker_mid_slice(tmp_path, retry=1)
+        assert job.state == "failed"
+        assert job.error_kind == "crash"
+        assert after.state == "done"
+
+    def test_cancel_reaches_a_running_unbounded_slice(self, tmp_path):
+        """A job that is one unbounded slice (seconds of work) stops at
+        its next iteration boundary, not at the end of the slice."""
+        service = SolveService(whole_job_config(tmp_path))
+
+        async def scenario():
+            await service.start()
+            try:
+                card = service.submit(GRID_FF)
+                await slice_started(service, card["id"])
+                service.cancel(card["id"])
+                start = time.monotonic()
+                await wait_until(lambda: service.get_job(card["id"]).terminal)
+                return time.monotonic() - start, service.get_job(card["id"])
+            finally:
+                await service.stop()
+
+        waited, job = asyncio.run(scenario())
+        assert job.state == "cancelled"
+        assert waited < 1.0
+        assert 0 < job.iterations
+        assert not service.store.cancel_path(job.id).exists()
+
+    def test_stop_leaves_no_worker(self, tmp_path):
+        service = SolveService(iter_sliced_config(tmp_path))
+        service.submit(ring_payload())
+        drain(service)
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

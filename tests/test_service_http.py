@@ -48,6 +48,24 @@ def spawn_server(data_dir, *extra):
     )
 
 
+def server_children(proc):
+    """Pids of the server's child processes (its slice workers)."""
+    return [
+        int(pid)
+        for task in Path(f"/proc/{proc.pid}/task").iterdir()
+        for pid in (task / "children").read_text().split()
+    ]
+
+
+def alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper is dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
 @pytest.fixture
 def server(tmp_path):
     """A live ``repro serve`` subprocess on an ephemeral port."""
@@ -265,3 +283,29 @@ class TestKillRestartDurability:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+class TestWorkersDieWithTheServer:
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
+                             ids=["SIGKILL", "SIGTERM"])
+    def test_no_worker_outlives_its_server(self, tmp_path, sig):
+        """Killed mid-slice, a server leaves none of its worker
+        processes behind to go on appending to the job's events."""
+        data_dir = tmp_path / "data"
+        proc = spawn_server(data_dir, "--slice", "none")
+        try:
+            client = ServiceClient.discover(data_dir, wait_seconds=20)
+            card = client.submit({"instance": "grid-16", "k": 4, "seed": 5})
+            events = data_dir / "events" / f"{card['id']}.jsonl"
+            deadline = time.monotonic() + 60
+            while not (events.exists() and events.read_text()):
+                assert time.monotonic() < deadline, "the slice never started"
+                time.sleep(0.01)
+            workers = server_children(proc)
+        finally:
+            proc.send_signal(sig)
+            proc.wait(timeout=10)
+        assert len(workers) == 2
+        time.sleep(2)
+        assert [pid for pid in workers if alive(pid)] == []
